@@ -1,0 +1,14 @@
+"""Make the benchmark's modules and the program importable.
+
+Run with ``python3 -m pytest perfbench/tests`` from the repository root.
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+ROOT = BENCH.parent
+
+for path in (str(ROOT / "src"), str(BENCH)):
+    if path not in sys.path:
+        sys.path.insert(0, path)
