@@ -31,7 +31,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
-from reference import NOMINAL_S
+import reference
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -208,7 +208,7 @@ class Runner:
 def scaled(sample: Dict) -> Dict[str, float]:
     """One iteration's end-to-end metrics, its times scaled to the
     nominal host speed (``reference.py``)."""
-    scale = NOMINAL_S / sample["reference_s"]
+    scale = reference.scale(sample["reference_s"])
     return {
         "setup_s": sample["setup_s"] * scale,
         "delivered_pps": sample["delivered_pps"] / scale,

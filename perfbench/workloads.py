@@ -166,6 +166,11 @@ TRANSIT_CORES = 4
 TRANSIT_HORIZON_S = 1.0
 FLAP_EVERY_S = 0.2
 FLAP_DOWN_S = 0.1
+#: Seed of the graph, the flow pairs and the run (core assignment and
+#: perturbation draws). They decide which flows cross which cores and
+#: so the p99 error; holding them fixed keeps the fidelity guard the
+#: same for every ``--seed``, as on the other workloads.
+TRANSIT_LAYOUT_SEED = 0
 
 
 def _path_hops(topology: Topology, src: int) -> Dict[int, int]:
@@ -187,15 +192,14 @@ def _path_hops(topology: Topology, src: int) -> Dict[int, int]:
 
 
 def transit_inputs(seed: int) -> Dict:
-    rng = _rng("transit_churn", seed)
-    topology = transit_stub_topology(TransitStubSpec(**TRANSIT_SPEC), rng)
+    layout = _rng("transit_churn", TRANSIT_LAYOUT_SEED)
+    topology = transit_stub_topology(TransitStubSpec(**TRANSIT_SPEC), layout)
     clients = sorted(n.id for n in topology.clients())
-    # Every flow crosses the same number of hops, so seeds differ in
-    # which VNs talk, not in how far their packets travel.
+    # Every flow crosses the same number of hops.
     pairs = []
     used = set()
     while len(pairs) < TRANSIT_FLOWS:
-        src = rng.choice(clients)
+        src = layout.choice(clients)
         if src in used:
             continue
         hops = _path_hops(topology, src)
@@ -205,9 +209,11 @@ def transit_inputs(seed: int) -> Dict:
         ]
         if not candidates:
             continue
-        dst = rng.choice(candidates)
+        dst = layout.choice(candidates)
         used.update((src, dst))
         pairs.append((src, dst))
+    # The seed decides which router links flap and when each flow starts.
+    rng = _rng("transit_churn", seed)
     router_links = sorted(
         link.id
         for link in topology.links.values()
@@ -246,7 +252,7 @@ def transit_scenario(inputs: Dict, variant: str) -> Scenario:
         .traffic(_Streams(inputs["pairs"], inputs["starts"], TRANSIT_RATE_BPS))
         .faults(inputs["faults"])
         .observe(False)
-        .seed(inputs["seed"])
+        .seed(TRANSIT_LAYOUT_SEED)
     )
 
 
