@@ -388,9 +388,9 @@ class Scenario:
         ``domains``) across ``workers`` processes (0 = one per
         domain). Digests are identical across worker counts.
 
-        ``kernel`` selects the pipe hot-core implementation
-        (``"scalar"``, ``"batched"``, or ``"numpy"``); all kernels
-        dispatch digest-identical event streams.
+        ``kernel`` selects each pipe's delay-line implementation
+        (``"scalar"`` or ``"batched"``); both dispatch digest-identical
+        event streams.
         """
         knobs: dict = {"backend": name}
         if domains is not None:
@@ -614,10 +614,9 @@ class Scenario:
             self.sim = PartitionedSimulator(
                 num_domains,
                 lookahead=min_cross_core_latency(config.core_spec),
-                kernel=config.kernel,
             )
         else:
-            self.sim = Simulator(kernel=config.kernel)
+            self.sim = Simulator()
         with registry.timed("phase.build_s"):
             pipeline = ExperimentPipeline(self.sim, seed=self._seed)
             pipeline.create(self._topology)
@@ -786,12 +785,14 @@ class Scenario:
         Partitioned scenarios hook the epoch barrier (`on_epoch`), so
         budget/checkpoint logic never alters the epoch structure;
         single-domain scenarios run in virtual-time chunks, which is
-        stream-identical for one kernel. Also the landing path for
+        stream-identical for one domain. Also the landing path for
         multiprocess degradation (``degrade_reason`` set): the parent's
         never-run emulation executes serially with identical digests
-        by construction.
+        by construction. The digests are the domains' native folds
+        (:meth:`~repro.engine.domain.EventDomain.enable_digest`),
+        composed per domain when partitioned.
         """
-        from repro.check.sanitize import SimSanitizer
+        from repro.check.sanitize import compose_domain_digests
         from repro.resilience import (
             BudgetExceeded,
             CheckpointError,
@@ -808,7 +809,24 @@ class Scenario:
         partitioned = (
             getattr(sim, "domains", None) is not None and sim.num_domains > 1
         )
-        sanitizer = SimSanitizer(keep_records=False).attach(sim)
+        domains = sim.domains if partitioned else [sim]
+        for domain in domains:
+            domain.enable_digest()
+
+        def digests():
+            """``(digest, events, domain_digests, domain_counts)`` so
+            far; the per-domain maps are None for one domain."""
+            if not partitioned:
+                return sim.digest_hexdigest(), sim.events_dispatched, None, None
+            by_domain = {d.domain_id: d.digest_hexdigest() for d in domains}
+            counts = {d.domain_id: d.events_dispatched for d in domains}
+            return (
+                compose_domain_digests(by_domain),
+                sum(counts.values()),
+                by_domain,
+                counts,
+            )
+
         abort: Optional[BudgetExceeded] = None
         t0 = perf_counter()
         try:
@@ -816,17 +834,15 @@ class Scenario:
                 if partitioned:
                     self._drive_partitioned_serial(
                         sim, emulation, until, budget, writer, verifier,
-                        sanitizer, resume,
+                        digests, resume,
                     )
                 else:
                     self._drive_single_domain(
                         sim, emulation, until, res, budget, writer,
-                        verifier, sanitizer, resume,
+                        verifier, digests, resume,
                     )
         except BudgetExceeded as exc:
             abort = exc
-        finally:
-            sanitizer.detach()
         wall = perf_counter() - t0
         report = build_report(
             emulation,
@@ -842,11 +858,12 @@ class Scenario:
             outcome = f"degraded{{reason={degrade_reason}}}"
         else:
             outcome = "completed"
+        digest, events, _, _ = digests()
         self._annotate_resilience(
             report,
             outcome=outcome,
-            digest=sanitizer.digest,
-            events=sanitizer.events_observed(),
+            digest=digest,
+            events=events,
             writer=writer,
             counters=counters,
             downgrades=1 if degrade_reason is not None else 0,
@@ -865,7 +882,7 @@ class Scenario:
         return report
 
     def _drive_partitioned_serial(
-        self, sim, emulation, until, budget, writer, verifier, sanitizer,
+        self, sim, emulation, until, budget, writer, verifier, digests,
         resume,
     ) -> None:
         from repro.resilience import rng_stream_states
@@ -873,7 +890,7 @@ class Scenario:
         applier = emulation.fault_applier
 
         def on_epoch(epoch_index: int, horizon: float) -> None:
-            events = sanitizer.events_observed()
+            digest, events, domain_digests, domain_counts = digests()
             budget.check(events=events)
             if (
                 verifier is not None
@@ -882,9 +899,9 @@ class Scenario:
                 and epoch_index == resume.epoch
             ):
                 verifier.verify(
-                    digest=sanitizer.digest,
+                    digest=digest,
                     events=events,
-                    domain_digests=sanitizer.domain_digests(),
+                    domain_digests=domain_digests,
                     rng_states=rng_stream_states(emulation.rng),
                     fault_cursor=(
                         applier.applied if applier is not None else None
@@ -897,10 +914,10 @@ class Scenario:
                 writer.write(
                     barrier_time=horizon,
                     events=events,
-                    digest=sanitizer.digest,
+                    digest=digest,
                     epoch=epoch_index,
-                    domain_digests=sanitizer.domain_digests(),
-                    domain_counts=sanitizer.domain_counts(),
+                    domain_digests=domain_digests,
+                    domain_counts=domain_counts,
                     snapshots=sim.snapshot(),
                     rng_states=rng_stream_states(emulation.rng),
                     metrics={"sim.events_dispatched": events},
@@ -920,14 +937,14 @@ class Scenario:
 
     def _drive_single_domain(
         self, sim, emulation, until, res, budget, writer, verifier,
-        sanitizer, resume,
+        digests, resume,
     ) -> None:
         from repro.resilience import rng_stream_states
 
         if writer is None and verifier is None and not budget.active:
             sim.run(until=until)
             return
-        # Chunking one kernel at virtual-time marks is stream-identical
+        # Chunking one domain at virtual-time marks is stream-identical
         # to a single run (the heap and seq counter are untouched), so
         # barriers here are free determinism-wise.
         step = res.checkpoint_every_s or (until / 16.0)
@@ -944,7 +961,7 @@ class Scenario:
                 next_mark += step
                 continue
             sim.run(until=target)
-            events = sanitizer.events_observed()
+            digest, events, _, _ = digests()
             budget.check(events=events)
             applier = emulation.fault_applier
             if (
@@ -953,7 +970,7 @@ class Scenario:
                 and sim.now >= resume.barrier_time
             ):
                 verifier.verify(
-                    digest=sanitizer.digest,
+                    digest=digest,
                     events=events,
                     rng_states=rng_stream_states(emulation.rng),
                     fault_cursor=(
@@ -967,7 +984,7 @@ class Scenario:
                 writer.write(
                     barrier_time=sim.now,
                     events=events,
-                    digest=sanitizer.digest,
+                    digest=digest,
                     epoch=None,
                     snapshots=[sim.snapshot()],
                     rng_states=rng_stream_states(emulation.rng),

@@ -8,12 +8,6 @@ These workloads cover the hot paths the ROADMAP cares about:
     core. Exercises the event loop, the pipe scheduler, and the TCP
     stacks together — the primary events/sec figure of merit.
 
-``kernel_dispatch``
-    The kernel seam in isolation: self-reposting timers drive the
-    dispatch loop (digest armed, no emulation payload). Reports the
-    measured kernel's events/sec and, for the optimized kernels, the
-    ratio over a scalar reference run of the identical event stream.
-
 ``capacity_sweep``
     A scaled-down Fig. 4: netperf flows through private emulated
     chains at several (hops, flows) points, reporting the core's
@@ -24,7 +18,7 @@ These workloads cover the hot paths the ROADMAP cares about:
     The determinism sanitizer's double-run digest over the dumbbell
     (~28k events per run at 1 virtual second): proves the optimized
     hot path still produces byte-identical event streams, and times
-    the instrumented (slow-path) event loop.
+    the event loop with the sanitizer's per-event probe hooked in.
 
 ``multicore_scaling``
     An 8-router ring assigned to 4 cores, run once on the
@@ -79,7 +73,15 @@ def dumbbell_netperf(
 ) -> BenchResult:
     """Bulk TCP through the shared bottleneck: events/sec of the
     uninstrumented event loop (with the native streaming digest
-    folded in, so the manifest records what stream was timed)."""
+    folded in, so the manifest records what stream was timed).
+
+    The delay-line kernel is a small share of this run: the traced
+    perfbench ``dumbbell_tcp`` run (seed 1) puts 57% of self time in
+    the engine layer (the dispatch loop plus callback code no probe
+    claims), 23% in the core tick path (scheduler collect, pipe
+    arrival, ingress, edge hops), 13% in TCP and sockets and 5% in
+    physical links (DESIGN.md §7), so kernel ratios here are
+    Amdahl-compressed toward 1."""
     seed = DEFAULT_SEED if seed is None else seed
     seconds = 30.0 if profile == "short" else 120.0
     flows = 4
@@ -109,78 +111,8 @@ def dumbbell_netperf(
     result.extras = {
         "packets_delivered": emulation.monitor.packets_delivered,
         "pipe_departures": sum(p.departures for p in emulation.pipes.values()),
-        "kernel": sim.kernel,
+        "kernel": emulation.config.kernel,
     }
-    return result.finalize()
-
-
-def kernel_dispatch(
-    profile: str = "short",
-    seed: Optional[int] = None,
-    kernel: Optional[str] = None,
-) -> BenchResult:
-    """Event-loop throughput of the kernel seam in isolation.
-
-    A ring of self-reposting timers drives the dispatch loop with the
-    digest armed and no emulation payload attached — every microsecond
-    is loop + heap + digest fold, none is TCP or pipe callbacks. This
-    is the scenario where the batched kernel's dispatch-loop half of
-    the seam is undiluted: ``dumbbell_netperf`` measures the same seam
-    through ~80% shared per-event callback work (see DESIGN.md §7 for
-    the decomposition), so its kernel ratio is Amdahl-compressed
-    toward 1. When ``kernel`` is not scalar, a scalar reference run of
-    the same workload is timed too and the ratio is recorded in
-    ``extras["vs_scalar"]`` — the number the bench-smoke CI gates on.
-    """
-    from repro.engine.simulator import Simulator
-
-    seed = DEFAULT_SEED if seed is None else seed
-    events = 400_000 if profile == "short" else 2_000_000
-    timers = 8
-    kernel = kernel or "batched"
-
-    def timed_run(which: str):
-        sim = Simulator(kernel=which)
-
-        def tick(dt: float = 1e-6) -> None:
-            sim.post(sim.now + dt, tick)
-
-        # Seed phase offsets so the heap always holds `timers` entries
-        # interleaved at distinct (time, seq); the dispatch order (and
-        # so the digest) is identical for every kernel.
-        for i in range(timers):
-            sim.post(i * 1e-7, tick)
-        sim.enable_digest()
-        t0 = perf_counter()
-        sim.run(until=events * 1e-6 / timers)
-        wall = perf_counter() - t0
-        return sim, wall
-
-    result = BenchResult(
-        name="kernel_dispatch",
-        profile=profile,
-        seed=seed,
-        params={"events": events, "timers": timers},
-    )
-    sim, run_s = timed_run(kernel)
-    result.wall_s = run_s
-    result.events = sim.events_dispatched
-    result.virtual_time_s = sim.now
-    result.phases = {"run_s": round(run_s, 6)}
-    result.digest = sim.digest_hexdigest()
-    result.extras = {"kernel": sim.kernel}
-    if kernel != "scalar":
-        ref, ref_s = timed_run("scalar")
-        if ref.digest_hexdigest() != result.digest:
-            raise RuntimeError(
-                f"kernel_dispatch: scalar reference digest diverged "
-                f"({ref.digest_hexdigest()[:16]} vs {result.digest[:16]})"
-            )
-        result.phases["scalar_ref_s"] = round(ref_s, 6)
-        result.extras["scalar_events_per_s"] = round(ref.events_dispatched / ref_s, 1)
-        result.extras["vs_scalar"] = round(
-            (result.events / run_s) / (ref.events_dispatched / ref_s), 3
-        )
     return result.finalize()
 
 
@@ -220,7 +152,7 @@ def capacity_sweep(
     point_digests = []
     for hops, flows in points:
         t0 = perf_counter()
-        sim = Simulator(kernel=kernel)
+        sim = Simulator()
         sim.enable_digest()
         emulation = (
             ExperimentPipeline(sim, seed=seed)
@@ -333,15 +265,15 @@ def multicore_scaling(
     the honest speedup (or slowdown) figure for the epoch-synchronized
     engine.
 
-    Each measured backend gets an uninstrumented timing pass and a
-    sanitized digest pass; when both backends run (the default) their
-    composed per-domain digests must match or the scenario raises.
+    Each measured backend runs once with the domains' native digests
+    folded in; when both backends run (the default) their composed
+    per-domain digests must match or the scenario raises.
     ``backend`` restricts the measurement to one backend, ``domains``
     overrides the domain count (capped at the core count), ``workers``
     sets the multiprocess worker-pool size (0 = one per domain).
     """
     from repro.api import Scenario
-    from repro.check.sanitize import SimSanitizer
+    from repro.check.sanitize import compose_domain_digests
     from repro.engine.parallel import run_multiprocess
     from repro.topology.generators import ring_topology
 
@@ -392,24 +324,20 @@ def multicore_scaling(
     extras: Dict[str, object] = {}
     for name in backends:
         if name == "serial":
-            # Timing pass (uninstrumented).
             t0 = perf_counter()
             emulation = make("serial").build()
             build_s += perf_counter() - t0
             sim = emulation.sim
+            for domain in sim.domains:
+                domain.enable_digest()
             t1 = perf_counter()
             sim.run(until=seconds)
             walls["serial"] = perf_counter() - t1
             events += sim.events_dispatched
             pkts += emulation.monitor.packets_entered
-            # Digest pass (instrumented).
-            emulation = make("serial").build()
-            sanitizer = SimSanitizer().attach(emulation.sim)
-            try:
-                emulation.sim.run(until=seconds)
-            finally:
-                sanitizer.detach()
-            digests["serial"] = sanitizer.digest
+            digests["serial"] = compose_domain_digests(
+                {d.domain_id: d.digest_hexdigest() for d in sim.domains}
+            )
             extras["serial_events_per_s"] = round(
                 sim.events_dispatched / walls["serial"], 1
             )
@@ -421,13 +349,8 @@ def multicore_scaling(
             mp_timing = run_multiprocess(
                 scenario, until=seconds, workers=workers
             )
-            scenario = make("multiprocess")
-            scenario.build()
-            mp_digest = run_multiprocess(
-                scenario, until=seconds, workers=workers, sanitize=True
-            )
             walls["multiprocess"] = mp_timing.wall_time_s
-            digests["multiprocess"] = mp_digest.composed_digest
+            digests["multiprocess"] = mp_timing.composed_digest
             events += mp_timing.events_dispatched
             pkts += emulation.monitor.packets_entered
             extras.update(
@@ -535,7 +458,7 @@ def chaos_recovery(
     build_s = perf_counter() - t0
     t1 = perf_counter()
     baseline = run_multiprocess(
-        scenario, until=seconds, workers=worker_counts[0], sanitize=True
+        scenario, until=seconds, workers=worker_counts[0]
     )
     baseline_s = perf_counter() - t1
     kill_epoch = max(1, baseline.epochs // 2)
@@ -554,7 +477,7 @@ def chaos_recovery(
         scenario = make()
         scenario.build()
         chaos = run_multiprocess(
-            scenario, until=seconds, workers=count, sanitize=True,
+            scenario, until=seconds, workers=count,
             chaos_kill=(kill_epoch, 0), chaos_signal=_signal.SIGKILL,
         )
         wall = perf_counter() - t2
@@ -593,7 +516,6 @@ def chaos_recovery(
 
 SCENARIOS: Dict[str, Callable[..., BenchResult]] = {
     "dumbbell_netperf": dumbbell_netperf,
-    "kernel_dispatch": kernel_dispatch,
     "capacity_sweep": capacity_sweep,
     "sanitize_smoke": sanitize_smoke,
     "multicore_scaling": multicore_scaling,

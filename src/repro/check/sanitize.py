@@ -65,13 +65,11 @@ class DomainProbe:
     how domains were interleaved around them.
     """
 
-    def __init__(self, domain_id: int, keep_records: bool = True):
+    def __init__(self, domain_id: int):
         self.domain_id = domain_id
         self.count = 0
         self._hash = hashlib.sha256()
-        self.records: Optional[List[DispatchRecord]] = (
-            [] if keep_records else None
-        )
+        self.records: List[DispatchRecord] = []
         self._domain = None
 
     def attach(self, domain) -> "DomainProbe":
@@ -95,8 +93,7 @@ class DomainProbe:
         callsite = _callsite(fn)
         self._hash.update(struct.pack("<dq", event.time, event.seq))
         self._hash.update(callsite.encode())
-        if self.records is not None:
-            self.records.append(DispatchRecord(event.time, event.seq, callsite))
+        self.records.append(DispatchRecord(event.time, event.seq, callsite))
         self.count += 1
 
     def hexdigest(self) -> str:
@@ -140,19 +137,13 @@ class SimSanitizer:
     'e3b0c442...'
     """
 
-    def __init__(self, freeze_packets: bool = False, keep_records: bool = True):
+    def __init__(self, freeze_packets: bool = False):
         self.records: List[DispatchRecord] = []
         self.dispatched = 0
         self._hash = hashlib.sha256()
         self._sim: Optional[Simulator] = None
         self._probes: Optional[List[DomainProbe]] = None
         self._freeze_packets = freeze_packets
-        #: ``keep_records=False`` keeps only the streaming digest —
-        #: O(1) memory for long supervised runs that never need the
-        #: record-level diff (resilience attaches sanitizers for the
-        #: whole run; storing every DispatchRecord would dwarf the
-        #: emulation itself).
-        self._keep_records = keep_records
         self._frozen_ids: set = set()
         self._freeze_undo: Optional[Callable[[], None]] = None
 
@@ -172,9 +163,7 @@ class SimSanitizer:
         domains = getattr(sim, "domains", None)
         if domains is not None and len(domains) > 1:
             self._probes = [
-                DomainProbe(
-                    domain.domain_id, keep_records=self._keep_records
-                ).attach(domain)
+                DomainProbe(domain.domain_id).attach(domain)
                 for domain in domains
             ]
         else:
@@ -201,7 +190,7 @@ class SimSanitizer:
             self.records = [
                 record
                 for probe in self._probes
-                for record in (probe.records or [])
+                for record in probe.records
             ]
             self.dispatched = sum(probe.count for probe in self._probes)
             self._sim = None
@@ -218,8 +207,7 @@ class SimSanitizer:
         callsite = _callsite(fn)
         self._hash.update(struct.pack("<dq", event.time, event.seq))
         self._hash.update(callsite.encode())
-        if self._keep_records:
-            self.records.append(DispatchRecord(event.time, event.seq, callsite))
+        self.records.append(DispatchRecord(event.time, event.seq, callsite))
         self.dispatched += 1
 
     def domain_digests(self) -> Optional[dict]:
@@ -233,14 +221,6 @@ class SimSanitizer:
         if self._probes is None:
             return None
         return {probe.domain_id: probe.count for probe in self._probes}
-
-    def events_observed(self) -> int:
-        """Events observed so far — valid mid-run, unlike
-        ``dispatched`` which (for partitioned attaches) is only
-        materialized at :meth:`detach`."""
-        if self._probes is not None:
-            return sum(probe.count for probe in self._probes)
-        return self.dispatched
 
     @property
     def digest(self) -> str:
@@ -477,8 +457,10 @@ def sanitize_scenario_multiprocess(
     multiprocess backend with the next worker count from
     ``worker_counts`` (cycled), so the comparison covers both
     run-to-run repeatability *and* invariance to how domains are dealt
-    across workers. Workers stream per-domain digests
-    (:class:`DomainProbe`) which compose into one comparable hash.
+    across workers. Workers stream their domains' native digests
+    (:meth:`~repro.engine.domain.EventDomain.enable_digest`, the same
+    bytes a :class:`DomainProbe` hashes), which compose into one
+    comparable hash.
 
     Event *records* stay in the workers, so a failing comparison
     reports digests only — rerun on the serial backend to localise the
@@ -495,9 +477,7 @@ def sanitize_scenario_multiprocess(
         if seed is not None:
             scenario.seed(seed)
         scenario.build()
-        mp = run_multiprocess(
-            scenario, until=until, workers=workers, sanitize=True
-        )
+        mp = run_multiprocess(scenario, until=until, workers=workers)
         result.digests.append(mp.composed_digest)
         result.events.append(
             sum(mp.domain_digest_events.values())

@@ -82,11 +82,9 @@ class EmulationConfig:
     #: Worker processes for the multiprocess backend. 0 means one per
     #: domain. Digests are worker-count invariant by construction.
     workers: int = 0
-    #: Hot-core kernel (see :mod:`repro.core.kernel`): ``"scalar"``
-    #: reference, ``"batched"`` columnar (default), or ``"numpy"``
-    #: vectorized. Selects both each pipe's delay-line engine and the
-    #: event-domain dispatch loop; every kernel dispatches a
-    #: digest-identical event stream.
+    #: Pipe delay-line kernel (see :mod:`repro.core.kernel`):
+    #: ``"scalar"`` reference or ``"batched"`` columnar (default).
+    #: Both dispatch a digest-identical event stream.
     kernel: str = DEFAULT_KERNEL
 
     #: Strategies understood by :func:`repro.core.bind.bind_vns`.

@@ -8,9 +8,13 @@ emulated core node and advances them in lookahead-bounded epochs,
 exchanging cross-domain work through mailboxes.
 
 Everything that used to live on ``Simulator`` lives here unchanged —
-the tuple heap, the allocation-free ``post`` path, the fast/slow
-dispatch loops — so the single-domain engine dispatches a
-byte-identical event stream to the pre-partitioning kernel.
+the tuple heap, the allocation-free ``post`` path — so the
+single-domain engine dispatches a byte-identical event stream to the
+pre-partitioning kernel. There is one dispatch loop,
+:meth:`EventDomain._dispatch`; :meth:`~EventDomain.run`,
+:meth:`~EventDomain.run_until` and :meth:`~EventDomain.run_window` are
+thin wrappers over it, and :meth:`~EventDomain.step` is the
+one-event reference it must match.
 """
 
 from __future__ import annotations
@@ -24,22 +28,6 @@ from typing import Any, Callable, Optional, Tuple
 INFINITY = float("inf")
 
 _PACK_EVENT = struct.Struct("<dq").pack
-
-
-def _callsite_reference(fn: Callable) -> bytes:
-    """Reference callsite encoding: the exact per-event computation
-    :func:`repro.check.sanitize._callsite` performs (partials
-    unwrapped, ``__func__`` collapsed, nothing memoized). This is the
-    specification of the digest byte stream; the memoized
-    :meth:`EventDomain._callsite_bytes` fast path must produce the
-    same bytes (a test pins the equivalence).
-    """
-    while isinstance(fn, functools.partial):
-        fn = fn.func
-    fn = getattr(fn, "__func__", fn)
-    module = getattr(fn, "__module__", None) or "?"
-    qualname = getattr(fn, "__qualname__", None) or repr(fn)
-    return f"{module}.{qualname}".encode()
 
 
 class SimulationError(RuntimeError):
@@ -100,17 +88,10 @@ class EventDomain:
     seconds.
     """
 
-    def __init__(self, domain_id: int = 0, kernel: str = "batched") -> None:
+    def __init__(self, domain_id: int = 0) -> None:
         #: Index of this domain within a partitioned engine (0 for the
         #: classic single-kernel Simulator).
         self.domain_id = domain_id
-        #: Hot-core kernel selection (see :mod:`repro.core.kernel`):
-        #: ``"scalar"`` dispatches through the reference loop —
-        #: per-event rare-path checks, nothing hoisted — while
-        #: ``"batched"``/``"numpy"`` use the optimized split loops.
-        #: The same name also selects each pipe's delay-line engine;
-        #: all kernels dispatch byte-identical event streams.
-        self.kernel = kernel
         self._now = 0.0
         self._heap: list[Tuple[float, int, Event]] = []
         self._seq = 0
@@ -120,60 +101,28 @@ class EventDomain:
         #: Optional tracing hook: called as ``on_dispatch(event, fn)``
         #: immediately before each event fires (the sanitizer's probe
         #: point). ``fn`` is passed separately because dispatch clears
-        #: ``event.fn``. The hook test is hoisted out of the dispatch
-        #: loop: :meth:`run` selects the fast (no-hook) or slow
-        #: (hooked) loop once per call, so the None default costs
-        #: nothing per event. Consequently, installing a hook *during*
-        #: a run takes effect at the next :meth:`run`/:meth:`step`.
+        #: ``event.fn``. The dispatch loop reads the hook once per
+        #: call, so installing one *during* a run takes effect at the
+        #: next :meth:`run`/:meth:`run_until`/:meth:`step`.
         self.on_dispatch: Optional[Callable[[Event, Callable], None]] = None
-        #: Streaming event digest, folded inline by the dispatch loops
-        #: when armed (:meth:`enable_digest`) — the cheap path benches
-        #: use to stamp a run's identity without paying for the
-        #: on_dispatch probe machinery. None (the default) costs one
-        #: branch per run() call, nothing per event.
+        #: Streaming event digest, folded inline by the dispatch loop
+        #: when armed (:meth:`enable_digest`). None (the default) costs
+        #: one local test per event.
         self._digest = None
-        #: When the scalar (reference) kernel arms its digest, the fold
-        #: runs as an :attr:`on_dispatch` observer — the sanitizer's
-        #: probe machinery, per event — and this holds that observer so
-        #: the dispatch loops know the hook already folds the digest.
-        #: None whenever the digest is folded inline.
-        self._digest_hook: Optional[Callable[[Event, Callable], None]] = None
         self._callsite_cache: dict = {}
 
     def enable_digest(self) -> None:
         """Arm the streaming event digest for subsequent runs.
 
         Folds ``(time, seq, callsite)`` of every dispatched event into
-        a SHA-256 — the exact byte stream a
-        :class:`repro.check.sanitize.DomainProbe` would hash, so the
-        result is comparable with sanitize digests.
-
-        The fold mechanism is part of the kernel seam. The scalar
-        (reference) kernel digests the way the sanitizer does: an
-        :attr:`on_dispatch` observer receives every event — anonymous
-        ``post()`` entries get a synthesized :class:`Event` handle —
-        and recomputes the callsite encoding per event, nothing
-        memoized. The optimized kernels fold inline in the dispatch
-        loop, with callsite bytes memoized per function and the hash
-        fed in joined chunks; tests pin the byte equality of the two
-        mechanisms. Like :attr:`on_dispatch`, arming mid-run takes
+        a SHA-256 — the exact byte stream the sanitizer's per-domain
+        probe (:mod:`repro.check.sanitize`) hashes, so the result is
+        comparable with sanitize digests (tests pin the byte
+        equality). Like :attr:`on_dispatch`, arming mid-run takes
         effect at the next :meth:`run`/:meth:`run_until`/:meth:`step`.
         """
         self._digest = hashlib.sha256()
         self._callsite_cache = {}
-        if self.kernel == "scalar" and self.on_dispatch is None:
-            digest = self._digest
-
-            def observe(event: Event, fn: Callable) -> None:
-                digest.update(_PACK_EVENT(event.time, event.seq))
-                digest.update(_callsite_reference(fn))
-
-            self._digest_hook = observe
-            self.on_dispatch = observe
-        else:
-            # A user hook is already installed (e.g. a sanitizer probe)
-            # or an optimized kernel is running: fold inline.
-            self._digest_hook = None
 
     def digest_hexdigest(self) -> Optional[str]:
         """Hex digest of the events dispatched since
@@ -337,6 +286,11 @@ class EventDomain:
     def step(self) -> bool:
         """Dispatch the single next non-cancelled event.
 
+        The reference for dispatch semantics: one pop-check-fire cycle
+        with every rare-path branch (clock check, hook, digest) tested
+        in place. :meth:`_dispatch` must stay observationally
+        identical to repeating it — tests compare the two.
+
         Returns False when the heap is exhausted.
         """
         heap = self._heap
@@ -367,219 +321,106 @@ class EventDomain:
                     event = Event(time, entry[1], None, ())
                 hook(event, fn)
             digest = self._digest
-            if digest is not None and (
-                hook is None or hook is not self._digest_hook
-            ):
-                # The scalar kernel's digest observer (if installed)
-                # already folded this event via the hook above; every
-                # other configuration folds inline here.
+            if digest is not None:
                 digest.update(_PACK_EVENT(time, entry[1]))
                 digest.update(self._callsite_bytes(fn))
             fn(*args)
             return True
         return False
 
-    def run(self, until: Optional[float] = None) -> float:
-        """Dispatch events until the heap is empty, the clock would
-        pass ``until``, or :meth:`stop` is called.
+    def _dispatch(self, limit: float, inclusive: bool) -> int:
+        """The dispatch loop: fire every live event with ``time <
+        limit`` (``<= limit`` when ``inclusive``) until the window is
+        exhausted or :meth:`stop` is called; returns the count fired.
 
-        If ``until`` is given and the run *drains naturally* (the heap
-        empties or only later events remain), the clock is left
-        exactly at ``until`` and a subsequent ``run`` continues from
-        there. A run halted by :meth:`stop` keeps the clock at the
-        last dispatched event — fast-forwarding past still-pending
-        events would let the next ``run`` move the clock backwards.
-        Returns the final clock value.
+        A window that ends without a stop leaves the clock exactly at
+        a finite ``limit``. A stopped one keeps the clock at the last
+        dispatched event — fast-forwarding past still-pending events
+        would let the next window move the clock backwards.
+
+        The :attr:`on_dispatch` hook and the armed digest are read
+        once per call into locals and tested per event. The digest
+        fold feeds ``(time, seq, callsite)`` bytes into a chunk list
+        joined into the hash every 2048 entries — SHA-256 is
+        stream-equivalent under concatenation, so the result equals
+        :meth:`step`'s per-event fold — and every exit path (drain,
+        stop, limit, a raising callback) flushes the tail.
         """
         if self._running:
-            raise SimulationError("simulator is already running")
-        if until is not None and until < self._now:
-            raise SimulationError(
-                f"cannot run until t={until}, already at t={self._now}"
-            )
+            raise SimulationError("domain is already running")
         self._running = True
         self._stopped = False
-        # The dispatch loop exists in kernel-selected variants. The
-        # scalar kernel runs the reference loop: one pop-check-fire
-        # cycle per event with every rare-path branch (hook, digest)
-        # tested in place — the auditable yardstick. The batched and
-        # numpy kernels run the optimized split loops with the
-        # rare-path branches hoisted out: the fast loop assumes no
-        # on_dispatch hook; the slow loop services it. Locals beat
-        # attribute loads in the loop body. All variants dispatch in
-        # identical (time, seq) order from the same heap — the event
-        # streams are byte-identical.
         heap = self._heap
         pop = heapq.heappop
-        limit = float("inf") if until is None else until
         now = self._now
         dispatched = 0
         hook = self.on_dispatch
         digest = self._digest
+        pack = _PACK_EVENT
+        callsite_bytes = self._callsite_bytes
+        chunks: list = []
+        append = chunks.append
         try:
-            if self.kernel == "scalar":
-                # Reference dispatch: one :meth:`step` per event.
-                # ``step()`` is the specification of dispatch — every
-                # rare-path branch (hook, digest, clock check) tested
-                # in place, per event, nothing hoisted. The optimized
-                # loops below must stay observationally identical to
-                # repeating it.
-                step = self.step
-                while heap and not self._stopped:
-                    entry = heap[0]
-                    event = entry[2]
-                    if event is not None and event.fn is None:
-                        pop(heap)  # cancelled or spent: discard
-                        continue
-                    if entry[0] > limit:
-                        break
-                    step()
-            elif hook is None and digest is None:
-                while heap and not self._stopped:
-                    entry = heap[0]
-                    event = entry[2]
-                    if event is None:  # anonymous entry (see post())
-                        time = entry[0]
-                        if time > limit:
-                            break
-                        if time < now:
-                            raise SimulationError(
-                                f"clock would move backwards: event at "
-                                f"t={time} but now={now}"
-                            )
-                        pop(heap)
-                        self._now = now = time
-                        dispatched += 1
-                        entry[3](*entry[4])
-                        continue
+            while heap and not self._stopped:
+                entry = heap[0]
+                event = entry[2]
+                if event is None:  # anonymous entry (see post())
+                    fn = entry[3]
+                    args = entry[4]
+                else:
                     fn = event.fn
                     if fn is None:  # cancelled or spent: discard
                         pop(heap)
                         continue
-                    time = entry[0]
-                    if time > limit:
-                        break
-                    if time < now:
-                        raise SimulationError(
-                            f"clock would move backwards: event at "
-                            f"t={time} but now={now}"
-                        )
-                    pop(heap)
-                    self._now = now = time
-                    dispatched += 1
                     args = event.args
+                time = entry[0]
+                if time >= limit and (time > limit or not inclusive):
+                    break
+                if time < now:
+                    raise SimulationError(
+                        f"clock would move backwards: event at "
+                        f"t={time} but now={now}"
+                    )
+                pop(heap)
+                self._now = now = time
+                dispatched += 1
+                if event is not None:
                     event.fn = None
                     event.args = ()
-                    fn(*args)
-            elif hook is None:
-                # Digest-armed fast loop: the no-hook loop with the
-                # (time, seq, callsite) fold batched. Event bytes
-                # accumulate in a chunk list and feed the hash in
-                # joined blocks — SHA-256 is stream-equivalent under
-                # concatenation, so the digest is byte-identical to
-                # the reference loop's per-event fold while the
-                # per-event cost shrinks to two list appends.
-                pack = _PACK_EVENT
-                callsite_bytes = self._callsite_bytes
-                update = digest.update
-                chunks: list = []
-                append = chunks.append
-                try:
-                    while heap and not self._stopped:
-                        entry = heap[0]
-                        event = entry[2]
-                        if event is None:  # anonymous entry (see post())
-                            time = entry[0]
-                            if time > limit:
-                                break
-                            if time < now:
-                                raise SimulationError(
-                                    f"clock would move backwards: event "
-                                    f"at t={time} but now={now}"
-                                )
-                            pop(heap)
-                            self._now = now = time
-                            dispatched += 1
-                            fn = entry[3]
-                            append(pack(time, entry[1]))
-                            append(callsite_bytes(fn))
-                            if len(chunks) >= 2048:
-                                update(b"".join(chunks))
-                                chunks.clear()
-                            fn(*entry[4])
-                            continue
-                        fn = event.fn
-                        if fn is None:  # cancelled or spent: discard
-                            pop(heap)
-                            continue
-                        time = entry[0]
-                        if time > limit:
-                            break
-                        if time < now:
-                            raise SimulationError(
-                                f"clock would move backwards: event at "
-                                f"t={time} but now={now}"
-                            )
-                        pop(heap)
-                        self._now = now = time
-                        dispatched += 1
-                        args = event.args
-                        event.fn = None
-                        event.args = ()
-                        append(pack(time, entry[1]))
-                        append(callsite_bytes(fn))
-                        if len(chunks) >= 2048:
-                            update(b"".join(chunks))
-                            chunks.clear()
-                        fn(*args)
-                finally:
-                    # Every exit path (drain, stop, limit, a raising
-                    # callback) flushes, so digest_hexdigest() always
-                    # covers exactly the dispatched events.
-                    if chunks:
-                        update(b"".join(chunks))
-            else:
-                while heap and not self._stopped:
-                    entry = heap[0]
-                    event = entry[2]
-                    if event is None:
-                        fn = entry[3]
-                        args = entry[4]
-                    else:
-                        fn = event.fn
-                        if fn is None:
-                            pop(heap)
-                            continue
-                        args = event.args
-                    time = entry[0]
-                    if time > limit:
-                        break
-                    if time < now:
-                        raise SimulationError(
-                            f"clock would move backwards: event at "
-                            f"t={time} but now={now}"
-                        )
-                    pop(heap)
-                    self._now = now = time
-                    dispatched += 1
-                    if event is None:
-                        # Synthesize a handle for the hook; anonymous
-                        # entries carry the same (time, seq) identity.
-                        event = Event(time, entry[1], None, ())
-                    else:
-                        event.fn = None
-                        event.args = ()
-                    hook(event, fn)
-                    if digest is not None and hook is not self._digest_hook:
-                        digest.update(_PACK_EVENT(time, entry[1]))
-                        digest.update(self._callsite_bytes(fn))
-                    fn(*args)
+                if hook is not None:
+                    # Anonymous entries get a synthesized handle with
+                    # the same (time, seq) identity.
+                    hook(event or Event(time, entry[1], None, ()), fn)
+                if digest is not None:
+                    append(pack(time, entry[1]))
+                    append(callsite_bytes(fn))
+                    if len(chunks) >= 2048:
+                        digest.update(b"".join(chunks))
+                        chunks.clear()
+                fn(*args)
         finally:
+            if chunks:
+                digest.update(b"".join(chunks))
             self._running = False
             self._dispatched += dispatched
-        if until is not None and not self._stopped and self._now < until:
-            # Natural drain: fast-forward the idle clock to the target.
-            self._now = until
+        if limit != INFINITY and not self._stopped and self._now < limit:
+            self._now = limit
+        return dispatched
+
+    def run(self, until: Optional[float] = None) -> float:
+        """Dispatch events until the heap is empty, the clock would
+        pass ``until``, or :meth:`stop` is called; returns the final
+        clock value.
+
+        Events at exactly ``until`` fire. If the run is not stopped,
+        the clock is left exactly at ``until`` and a subsequent
+        ``run`` continues from there.
+        """
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"cannot run until t={until}, already at t={self._now}"
+            )
+        self._dispatch(INFINITY if until is None else until, True)
         return self._now
 
     # ------------------------------------------------------------------
@@ -593,10 +434,10 @@ class EventDomain:
         This is one epoch of partitioned execution: the synchronizer
         guarantees no cross-domain message can arrive before
         ``horizon``, so everything strictly inside the window is safe
-        to dispatch without hearing from other domains. Unlike
-        :meth:`run`, the clock always lands exactly on ``horizon`` —
-        epochs tile time, and a later message timed at ``horizon`` or
-        beyond must never read as "in the past".
+        to dispatch without hearing from other domains. The clock
+        lands exactly on ``horizon`` — epochs tile time, and a later
+        message timed at ``horizon`` or beyond must never read as "in
+        the past".
 
         :meth:`stop` called from inside a dispatched event halts the
         window after that event, leaving the clock at the event's time
@@ -611,63 +452,7 @@ class EventDomain:
             raise SimulationError(
                 f"epoch horizon t={horizon} is before now={self._now}"
             )
-        if self._running:
-            raise SimulationError("domain is already running")
-        self._running = True
-        self._stopped = False
-        heap = self._heap
-        pop = heapq.heappop
-        now = self._now
-        dispatched = 0
-        hook = self.on_dispatch
-        digest = self._digest
-        try:
-            while heap and not self._stopped:
-                entry = heap[0]
-                time = entry[0]
-                if time > horizon or (time == horizon and not inclusive):
-                    break
-                event = entry[2]
-                if event is None:
-                    fn = entry[3]
-                    args = entry[4]
-                else:
-                    fn = event.fn
-                    if fn is None:  # cancelled or spent: discard
-                        pop(heap)
-                        continue
-                    args = event.args
-                if time < now:
-                    raise SimulationError(
-                        f"clock would move backwards: event at "
-                        f"t={time} but now={now}"
-                    )
-                pop(heap)
-                self._now = now = time
-                dispatched += 1
-                if hook is not None:
-                    if event is None:
-                        handle = Event(time, entry[1], None, ())
-                    else:
-                        handle = event
-                        event.fn = None
-                        event.args = ()
-                    hook(handle, fn)
-                elif event is not None:
-                    event.fn = None
-                    event.args = ()
-                if digest is not None and (
-                    hook is None or hook is not self._digest_hook
-                ):
-                    digest.update(_PACK_EVENT(time, entry[1]))
-                    digest.update(self._callsite_bytes(fn))
-                fn(*args)
-        finally:
-            self._running = False
-            self._dispatched += dispatched
-        if not self._stopped and self._now < horizon:
-            self._now = horizon
-        return dispatched
+        return self._dispatch(horizon, inclusive)
 
     def run_window(self, horizon: float, inclusive: bool = False) -> int:
         """Run one granted epoch window, tolerating re-grants.

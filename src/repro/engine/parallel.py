@@ -177,7 +177,16 @@ def _build_from_spec(spec):
     return scenario, sim, emulation
 
 
-def _collect_worker_stats(emulation, sim, owned: Sequence[int], probes) -> dict:
+def _domain_digests(sim, owned: Sequence[int]) -> Dict[int, Tuple[str, int]]:
+    """``{domain: (hexdigest, event_count)}`` of the owned domains'
+    native digest folds."""
+    return {
+        d: (sim.domains[d].digest_hexdigest(), sim.domains[d].events_dispatched)
+        for d in owned
+    }
+
+
+def _collect_worker_stats(emulation, sim, owned: Sequence[int]) -> dict:
     """Everything the parent needs to reconstruct run statistics."""
     owned_set = set(owned)
     cores: Dict[int, Dict[str, Any]] = {}
@@ -255,9 +264,7 @@ def _collect_worker_stats(emulation, sim, owned: Sequence[int], probes) -> dict:
             "tunnels": monitor.tunnels,
             "error_samples": list(monitor.error_samples),
         },
-        "digests": {
-            d: (probe.hexdigest(), probe.count) for d, probe in probes.items()
-        },
+        "digests": _domain_digests(sim, owned),
         # Every worker applies the whole fault timeline identically;
         # the parent adopts the view of the worker owning domain 0.
         "faults": (
@@ -274,20 +281,17 @@ def _worker_main(
     owned: List[int],
     worker_index: int = 0,
     heartbeat_interval_s: float = 0.5,
-    probe: bool = True,
 ) -> None:
-    """One worker: rebuild, then serve epoch commands until 'finish'.
+    """One worker: rebuild, then serve epoch commands until 'finish'
+    (or 'stop', which exits without a reply).
 
     A daemon heartbeat thread shares the reply pipe (under a send
     lock) so the supervisor can tell a dead or stopped process from a
-    livelocked one. With ``probe`` (the default), digest probes are
-    attached: every ``done`` reply carries ``{domain: (hexdigest,
-    count)}``, which is what makes crash recovery *verifiable* — the
-    supervisor replays a respawned worker and compares these digests
-    against the pre-crash ones. The single-worker fast path disables
-    probing for pure timing runs (recovery there is a from-scratch
-    deterministic rerun, so there is no replay to verify, and the
-    serial leg it is benchmarked against runs unprobed too).
+    livelocked one. Every owned domain folds its native event digest,
+    and every ``done`` reply carries ``{domain: (hexdigest, count)}``,
+    which is what makes crash recovery *verifiable* — the supervisor
+    replays a respawned worker and compares these digests against the
+    pre-crash ones.
     """
     send_lock = threading.Lock()
     stop_beating = threading.Event()
@@ -310,14 +314,8 @@ def _worker_main(
     epoch_index = 0
     try:
         _scenario, sim, emulation = _build_from_spec(spec)
-        probes = {}
-        if probe:
-            from repro.check.sanitize import DomainProbe
-
-            probes = {
-                d: DomainProbe(d, keep_records=False).attach(sim.domains[d])
-                for d in owned
-            }
+        for d in owned:
+            sim.domains[d].enable_digest()
         _send(
             ("ready", {d: sim.domains[d].next_event_time() for d in owned})
         )
@@ -352,10 +350,7 @@ def _worker_main(
                         "done",
                         {d: sim.domains[d].next_event_time() for d in owned},
                         pack_frame(outbox),
-                        {
-                            d: (probes[d].hexdigest(), probes[d].count)
-                            for d in probes
-                        },
+                        _domain_digests(sim, owned),
                     )
                 )
                 epoch_index += 1
@@ -372,10 +367,7 @@ def _worker_main(
                         "done",
                         {d: sim.domains[d].next_event_time() for d in owned},
                         (sim.epochs, sim.router.messages_routed),
-                        {
-                            d: (probes[d].hexdigest(), probes[d].count)
-                            for d in probes
-                        },
+                        _domain_digests(sim, owned),
                     )
                 )
                 epoch_index += 1
@@ -385,8 +377,12 @@ def _worker_main(
                     sim.fast_forward(until, owned)
                 stop_beating.set()
                 _send(
-                    ("result", _collect_worker_stats(emulation, sim, owned, probes))
+                    ("result", _collect_worker_stats(emulation, sim, owned))
                 )
+                conn.close()
+                return
+            elif op == "stop":
+                stop_beating.set()
                 conn.close()
                 return
             else:  # pragma: no cover - protocol is fixed
@@ -469,7 +465,6 @@ def run_multiprocess(
     scenario,
     until: float,
     workers: int = 0,
-    sanitize: bool = False,
     policy: Optional[RetryPolicy] = None,
     epoch_timeout_s: float = 30.0,
     heartbeat_interval_s: float = 0.5,
@@ -490,9 +485,9 @@ def run_multiprocess(
     worker count from 1 to ``num_domains`` produces identical
     digests. When a single worker owns every domain (and no chaos,
     budget, or epoch hook is in play) the worker runs the whole epoch
-    loop in-process — one command, zero per-epoch IPC. ``sanitize``
-    is kept for API compatibility: digests are always streamed now
-    (supervision needs them for verified recovery).
+    loop in-process — one command, zero per-epoch IPC. Every worker
+    streams its domains' native digests (supervision needs them for
+    verified recovery), so ``result.composed_digest`` is always set.
 
     Supervision: a crashed or hung worker is respawned from the spec
     and deterministically replayed to the last completed epoch barrier
@@ -535,26 +530,19 @@ def run_multiprocess(
     ctx = _mp_context()
 
     # Single-worker fast path: one worker owns every domain and runs
-    # the whole epoch loop in-process (no per-epoch IPC). Digest probes
-    # cost ~25% of run time, so the fast path attaches them only when
-    # the caller asked to sanitize — matching the serial timing leg,
-    # which also runs unprobed.
+    # the whole epoch loop in-process (no per-epoch IPC).
     fast = (
         num_workers == 1
         and chaos_kill is None
         and on_epoch is None
         and budget is None
     )
-    probe = (not fast) or sanitize
 
     def spawn(index: int):
         parent_conn, child_conn = ctx.Pipe()
         proc = ctx.Process(
             target=_worker_main,
-            args=(
-                child_conn, spec, owned[index], index,
-                heartbeat_interval_s, probe,
-            ),
+            args=(child_conn, spec, owned[index], index, heartbeat_interval_s),
             daemon=True,
         )
         proc.start()

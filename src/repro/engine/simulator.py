@@ -29,5 +29,5 @@ class Simulator(EventDomain):
     the pre-partitioning engine.
     """
 
-    def __init__(self, kernel: str = "batched") -> None:
-        super().__init__(domain_id=0, kernel=kernel)
+    def __init__(self) -> None:
+        super().__init__(domain_id=0)

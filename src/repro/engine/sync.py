@@ -549,7 +549,6 @@ class PartitionedSimulator:
         num_domains: int,
         lookahead: Optional[float] = None,
         matrix: Optional[LookaheadMatrix] = None,
-        kernel: str = "batched",
     ):
         if num_domains < 1:
             raise SimulationError("need at least one domain")
@@ -565,10 +564,8 @@ class PartitionedSimulator:
                 f"simulator has {num_domains}"
             )
         self.matrix = matrix
-        self.kernel = kernel
         self.domains: List[EventDomain] = [
-            EventDomain(domain_id=index, kernel=kernel)
-            for index in range(num_domains)
+            EventDomain(domain_id=index) for index in range(num_domains)
         ]
         self.router = DomainRouter(num_domains)
         self.epochs = 0

@@ -51,7 +51,7 @@ def collect_metrics(emulation, registry: MetricsRegistry) -> MetricsRegistry:
     sim = emulation.sim
     registry.gauge("sim.virtual_time_s").set(sim.now)
     registry.gauge("sim.events_dispatched").set(sim.events_dispatched)
-    kernel = getattr(sim, "kernel", None) or emulation.config.kernel
+    kernel = emulation.config.kernel
     registry.gauge("sim.events_dispatched", kernel=kernel).set(
         sim.events_dispatched
     )

@@ -43,6 +43,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.resilience.policy import ResilienceError, RetryPolicy
 
+#: How long :meth:`WorkerSupervisor.shutdown` waits for a stopped
+#: worker to exit before terminating it.
+_STOP_JOIN_S = 1.0
+
 __all__ = [
     "WorkerFailure",
     "WorkerCrash",
@@ -287,14 +291,24 @@ class WorkerSupervisor:
         return [s for s in stats if s is not None]
 
     def shutdown(self) -> None:
-        """Close pipes and reap every worker process.
+        """Stop and reap every worker process.
 
-        Join honours the configurable supervisor timeout (this replaces
-        the old fixed ``proc.join(timeout=30)``), then escalates to
-        terminate and finally SIGKILL so no orphan survives.
+        Closing the parent's pipe end does not wake a worker blocked
+        on its next command (a forked worker holds its own copy of
+        that end), so each live worker is first sent an explicit
+        ``("stop",)``. Every worker is then told before any is
+        joined, and the join is short: a healthy worker exits at once,
+        and one that does not is terminated and finally SIGKILLed so
+        no orphan survives.
         """
         for handle in self.workers:
-            self._reap(handle, join_timeout_s=self.epoch_timeout_s)
+            if handle.conn is not None:
+                try:
+                    handle.conn.send(("stop",))
+                except (OSError, ValueError):  # already gone
+                    pass
+        for handle in self.workers:
+            self._reap(handle, join_timeout_s=_STOP_JOIN_S)
 
     def kill(self, worker: int, sig: int = signal.SIGKILL) -> None:
         """Deliver ``sig`` to a worker — the chaos-injection hook."""

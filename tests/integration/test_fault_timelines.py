@@ -8,7 +8,7 @@ import pytest
 
 from repro.api import Scenario
 from repro.check.sanitize import SimSanitizer
-from repro.core.kernel import KERNELS, numpy_available
+from repro.core.kernel import KERNELS
 from repro.engine.parallel import run_multiprocess
 from repro.faults import (
     FaultPlan,
@@ -24,10 +24,6 @@ from repro.resilience import RunAborted, load_checkpoint
 from repro.topology import dumbbell_topology, ring_topology
 
 UNTIL = 0.02
-
-
-def _kernels():
-    return [k for k in KERNELS if k != "numpy" or numpy_available()]
 
 
 def _mixed_plan():
@@ -114,7 +110,7 @@ def test_serial_and_multiprocess_agree_at_every_worker_count():
         scenario = _ring_scenario("multiprocess", workers=workers)
         scenario.build()
         result = run_multiprocess(
-            scenario, until=UNTIL, workers=workers, sanitize=True
+            scenario, until=UNTIL, workers=workers
         )
         assert result.composed_digest == serial_digest
         assert result.events_dispatched == serial_events
@@ -137,13 +133,13 @@ def test_flapping_storm_is_digest_invariant_across_kernels():
         when += 0.0002
     storm = FaultPlan.of(*flaps)
     digests = {}
-    for kernel in _kernels():
+    for kernel in KERNELS:
         digests[kernel], _ = _digest(_ring_scenario(kernel=kernel, plan=storm))
     assert len(set(digests.values())) == 1, digests
     scenario = _ring_scenario("multiprocess", workers=2, plan=storm)
     scenario.build()
-    result = run_multiprocess(scenario, until=UNTIL, workers=2, sanitize=True)
-    assert result.composed_digest == digests[_kernels()[0]]
+    result = run_multiprocess(scenario, until=UNTIL, workers=2)
+    assert result.composed_digest == digests[KERNELS[0]]
     assert scenario.emulation.fault_applier.injected == 10
     assert scenario.emulation.fault_applier.recovered == 10
 
@@ -161,7 +157,7 @@ def test_in_flight_packets_on_failed_pipe_drop_deterministically():
     serial_digest, serial_events = _digest(_ring_scenario(plan=plan))
     mp = _ring_scenario("multiprocess", workers=2, plan=plan)
     mp.build()
-    result = run_multiprocess(mp, until=UNTIL, workers=2, sanitize=True)
+    result = run_multiprocess(mp, until=UNTIL, workers=2)
     assert result.composed_digest == serial_digest
     assert result.events_dispatched == serial_events
 

@@ -137,7 +137,7 @@ class TestMultiprocess:
             scenario = _ring_scenario("multiprocess")
             scenario.build()
             result = run_multiprocess(
-                scenario, until=UNTIL, workers=workers, sanitize=True
+                scenario, until=UNTIL, workers=workers
             )
             digests.append(result.composed_digest)
             events.append(result.events_dispatched)
@@ -151,7 +151,7 @@ class TestMultiprocess:
         scenario = _ring_scenario("multiprocess")
         scenario.build()
         result = run_multiprocess(
-            scenario, until=UNTIL, workers=2, sanitize=True
+            scenario, until=UNTIL, workers=2
         )
         assert result.composed_digest == serial_digest
         assert result.events_dispatched == serial_events
@@ -179,7 +179,7 @@ class TestMultiprocess:
         scenario = _ring_scenario("multiprocess")
         scenario.build()
         result = run_multiprocess(
-            scenario, until=UNTIL, workers=0, sanitize=True
+            scenario, until=UNTIL, workers=0
         )
         assert result.workers == max(1, min(4, os.cpu_count() or 1))
         # The capped run keeps the digest contract with the serial

@@ -75,14 +75,14 @@ def test_sigkill_recovery_reproduces_the_clean_digest(workers):
     clean_scenario = _ring_scenario("multiprocess", workers=workers)
     clean_scenario.build()
     clean = run_multiprocess(
-        clean_scenario, until=RING_UNTIL, workers=workers, sanitize=True
+        clean_scenario, until=RING_UNTIL, workers=workers
     )
     assert clean.epochs > 2
 
     chaos_scenario = _ring_scenario("multiprocess", workers=workers)
     chaos_scenario.build()
     chaos = run_multiprocess(
-        chaos_scenario, until=RING_UNTIL, workers=workers, sanitize=True,
+        chaos_scenario, until=RING_UNTIL, workers=workers,
         policy=_fast_retry(),
         chaos_kill=(max(1, clean.epochs // 2), 0),
     )
@@ -250,6 +250,20 @@ def test_no_degrade_escalates_instead():
     scenario._resilience.backoff_base_s = 0.0
     with pytest.raises(SupervisionEscalation):
         scenario.run(until=RING_UNTIL)
+
+
+def test_escalation_shuts_workers_down_promptly():
+    """Shutdown stops healthy workers explicitly instead of waiting out
+    the epoch timeout (30 s) on each of them."""
+    import time
+
+    scenario = _desyncing_chaos_scenario()
+    scenario._resilience.degrade = False
+    scenario._resilience.backoff_base_s = 0.0
+    t0 = time.monotonic()
+    with pytest.raises(SupervisionEscalation):
+        scenario.run(until=RING_UNTIL)
+    assert time.monotonic() - t0 < 10.0
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.emulator import EmulationConfig
 from repro.tools import main
 from repro.topology import load_gml
 
@@ -106,35 +107,15 @@ def test_import_bgp(tmp_path):
     assert load_gml(str(out)).num_links == 3
 
 
-def test_emulate_is_a_deprecated_alias_for_run(tmp_path, capsys):
-    source = tmp_path / "ring.gml"
-    main(["generate", "ring", "--routers", "4", "--vns", "2", "-o", str(source)])
-    capsys.readouterr()
-    assert main([
-        "emulate", str(source), "--flows", "2", "--seconds", "1.0",
-    ]) == 0
-    captured = capsys.readouterr()
-    assert "deprecated" in captured.err
-    assert "repro-net run" in captured.err
-    import json
-
-    raw = json.loads(captured.out)  # delegates to `run`: RunReport JSON
-    assert raw["metrics"]["accuracy.packets_delivered"] > 0
-
-
-def test_emulate_forwards_mode_and_cores(tmp_path, capsys):
-    source = tmp_path / "ring.gml"
-    main(["generate", "ring", "--routers", "6", "--vns", "2", "-o", str(source)])
-    capsys.readouterr()
-    assert main([
-        "emulate", str(source), "--mode", "last-mile", "--cores", "2",
-        "--flows", "2", "--seconds", "1.0",
-    ]) == 0
-    import json
-
-    raw = json.loads(capsys.readouterr().out)
-    assert raw["config"]["num_cores"] == 2
-    assert raw["metrics"]["distill.pipes"] > 0
+def test_numpy_kernel_is_rejected_with_valid_names(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "net.gml", "--kernel", "numpy"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'numpy'" in err
+    assert "'batched'" in err and "'scalar'" in err
+    with pytest.raises(ValueError, match="valid kernels: scalar, batched"):
+        EmulationConfig(kernel="numpy")
 
 
 def test_run_writes_run_report(tmp_path, capsys):
@@ -174,6 +155,22 @@ def test_run_prints_json_without_output_paths(tmp_path, capsys):
     assert raw["metrics"]["accuracy.packets_entered"] > 0
     # Null registry: no hot-path timing histograms in the report.
     assert "pipe.enqueue_s" not in raw["metrics"]
+
+
+def test_run_budget_abort_exits_3_with_partial_report(tmp_path, capsys):
+    source = tmp_path / "dumbbell.gml"
+    main(["generate", "dumbbell", "--vns", "2", "-o", str(source)])
+    capsys.readouterr()
+    report_path = tmp_path / "abort.json"
+    assert main([
+        "run", str(source), "--flows", "2", "--seconds", "1.0",
+        "--max-events", "500", "--report", str(report_path),
+    ]) == 3
+    import json
+
+    metrics = json.loads(report_path.read_text())["metrics"]
+    assert metrics["run.outcome"] == "aborted{reason=max_events}"
+    assert "resilience.downgrades" in metrics
 
 
 def test_check_src_is_clean(capsys):
