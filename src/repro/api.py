@@ -38,12 +38,26 @@ from repro.core.bind import Binding
 from repro.core.distill import DistillationMode
 from repro.core.emulator import Emulation, EmulationConfig
 from repro.core.phases import ExperimentPipeline
+from repro.engine.domain import run_digest
 from repro.engine.randomness import RngRegistry
 from repro.engine.simulator import Simulator
 from repro.engine.sync import PartitionedSimulator
 from repro.faults import FaultPlan, PLAN_OVERRIDE_KEYS
 from repro.hardware.calibration import min_cross_core_latency
 from repro.obs import MetricsRegistry, NULL_REGISTRY, RunReport, build_report
+from repro.resilience import (
+    BudgetExceeded,
+    Checkpoint,
+    CheckpointError,
+    CheckpointWriter,
+    ResilienceConfig,
+    ResumeVerifier,
+    RunAborted,
+    RunBarrier,
+    SupervisionEscalation,
+    load_checkpoint,
+    rng_stream_states,
+)
 from repro.topology.gml import load_gml, parse_gml
 from repro.topology.graph import Topology
 
@@ -530,8 +544,6 @@ class Scenario:
         they may be set after :meth:`build` (they configure the run,
         not the object graph).
         """
-        from repro.resilience import ResilienceConfig
-
         cfg = self._resilience or ResilienceConfig()
         if checkpoint_every is not None:
             cfg.checkpoint_every_s = float(checkpoint_every)
@@ -566,8 +578,6 @@ class Scenario:
         *verifies* digests/event counts/RNG states at the checkpoint
         barrier, then continues to ``until``. Like worker rebuilds,
         the resumed scenario observes with the null registry."""
-        from repro.resilience import Checkpoint, load_checkpoint
-
         if not isinstance(checkpoint, Checkpoint):
             checkpoint = load_checkpoint(checkpoint)
         scenario = cls.from_spec(checkpoint.spec)
@@ -659,9 +669,11 @@ class Scenario:
 
         ``until`` defaults to the original run's target when resuming
         from a checkpoint. With resilience configured (or a resume
-        pending) the supervised run path applies: budget guards,
-        checkpoints, verified resume, and multiprocess degradation;
-        a budget abort raises
+        pending) the run is supervised: one
+        :class:`~repro.resilience.RunBarrier` checks budgets, verifies
+        the resume and writes checkpoints at every barrier, a
+        multiprocess run degrades to local execution when a worker is
+        unrecoverable, and a budget abort raises
         :class:`~repro.resilience.policy.RunAborted` carrying the
         partial report.
         """
@@ -676,171 +688,65 @@ class Scenario:
             raise ValueError(f"until must be > 0, got {until}")
         emulation = self.build()
         registry = self.registry
-        multiprocess = (
-            emulation.config.backend == "multiprocess"
-            and emulation.num_domains > 1
-        )
-        if self._resilience is not None or self._resume is not None:
-            from repro.resilience import ResilienceConfig
-
-            res = self._resilience or ResilienceConfig()
-            if multiprocess:
-                return self._run_multiprocess_resilient(
-                    until, registry, res
-                )
-            return self._run_serial_resilient(until, registry, res)
-        if multiprocess:
-            return self._run_multiprocess(until, registry)
-        t0 = perf_counter()
-        with registry.timed("phase.run_s"):
-            self.sim.run(until=until)
-        wall = perf_counter() - t0
-        self.report = build_report(
-            emulation,
-            registry=registry if registry.enabled else None,
-            name=self.name,
-            wall_time_s=wall,
-        )
-        self._export_traffic_metrics(self.report)
-        return self.report
-
-    def _run_multiprocess(
-        self, until: float, registry: MetricsRegistry
-    ) -> RunReport:
-        """Run across worker processes; the parent's (never-run)
-        emulation is patched with the merged statistics, so the
-        standard report path applies. Worker-resident state the
-        parent cannot patch (TCP stacks, edge CPUs) arrives as a
-        metric overlay."""
-        from repro.engine.parallel import run_multiprocess
-
-        t0 = perf_counter()
-        with registry.timed("phase.run_s"):
-            result = run_multiprocess(
-                self, until, workers=self.emulation.config.workers
-            )
-        wall = perf_counter() - t0
-        self.mp_result = result
-        self.report = build_report(
-            self.emulation,
-            registry=registry if registry.enabled else None,
-            name=self.name,
-            wall_time_s=wall,
-        )
-        self.report.metrics.update(result.metric_overlay)
-        return self.report
-
-    # -- resilient run paths ----------------------------------------------
-
-    def _checkpoint_writer(self, res, until):
-        from repro.resilience import CheckpointWriter
-
-        if not res.checkpoint_every_s:
-            return None
-        path = res.checkpoint_path or f"{self.name}.ckpt"
-        return CheckpointWriter(
-            path, res.checkpoint_every_s, self.to_spec(), until, self._seed
-        )
-
-    def _annotate_resilience(
-        self,
-        report: RunReport,
-        outcome: str,
-        digest: str,
-        events: Optional[int] = None,
-        writer=None,
-        counters=None,
-        downgrades: int = 0,
-    ) -> None:
-        """Record ``run.outcome`` and every resilience counter in the
-        report — present (zero-valued if idle) on all resilient runs,
-        so partial reports are machine-checkable."""
-        merged = {"heartbeats_missed": 0, "workers_restarted": 0, "retries": 0}
-        if counters:
-            merged.update(counters)
-        metrics = report.metrics
-        metrics["run.outcome"] = outcome
-        metrics["run.digest"] = digest
-        if events is not None:
-            metrics["run.events"] = events
-        metrics["resilience.heartbeats_missed"] = merged["heartbeats_missed"]
-        metrics["resilience.workers_restarted"] = merged["workers_restarted"]
-        metrics["resilience.retries"] = merged["retries"]
-        metrics["resilience.checkpoints_written"] = (
-            writer.written if writer is not None else 0
-        )
-        metrics["resilience.downgrades"] = downgrades
-
-    def _run_serial_resilient(
-        self,
-        until: float,
-        registry: MetricsRegistry,
-        res,
-        degrade_reason: Optional[str] = None,
-        counters=None,
-    ) -> RunReport:
-        """Serial execution under supervision: digest streaming, budget
-        checks and checkpoints at barriers, verified resume.
-
-        Partitioned scenarios hook the epoch barrier (`on_epoch`), so
-        budget/checkpoint logic never alters the epoch structure;
-        single-domain scenarios run in virtual-time chunks, which is
-        stream-identical for one domain. Also the landing path for
-        multiprocess degradation (``degrade_reason`` set): the parent's
-        never-run emulation executes serially with identical digests
-        by construction. The digests are the domains' native folds
-        (:meth:`~repro.engine.domain.EventDomain.enable_digest`),
-        composed per domain when partitioned.
-        """
-        from repro.check.sanitize import compose_domain_digests
-        from repro.resilience import (
-            BudgetExceeded,
-            CheckpointError,
-            ResumeVerifier,
-            RunAborted,
-        )
-
-        emulation = self.emulation
-        sim = self.sim
         resume = self._resume
-        budget = res.budget().start()
-        writer = self._checkpoint_writer(res, until)
-        verifier = ResumeVerifier(resume) if resume is not None else None
-        partitioned = (
-            getattr(sim, "domains", None) is not None and sim.num_domains > 1
-        )
-        domains = sim.domains if partitioned else [sim]
-        for domain in domains:
-            domain.enable_digest()
-
-        def digests():
-            """``(digest, events, domain_digests, domain_counts)`` so
-            far; the per-domain maps are None for one domain."""
-            if not partitioned:
-                return sim.digest_hexdigest(), sim.events_dispatched, None, None
-            by_domain = {d.domain_id: d.digest_hexdigest() for d in domains}
-            counts = {d.domain_id: d.events_dispatched for d in domains}
-            return (
-                compose_domain_digests(by_domain),
-                sum(counts.values()),
-                by_domain,
-                counts,
+        res = self._resilience or ResilienceConfig()
+        barrier = None
+        if self._resilience is not None or resume is not None:
+            writer = None
+            if res.checkpoint_every_s:
+                writer = CheckpointWriter(
+                    res.checkpoint_path or f"{self.name}.ckpt",
+                    res.checkpoint_every_s,
+                    self.to_spec(),
+                    until,
+                    self._seed,
+                )
+            barrier = RunBarrier(
+                res.budget(),
+                writer,
+                ResumeVerifier(resume) if resume is not None else None,
             )
-
-        abort: Optional[BudgetExceeded] = None
+            for domain in self._domains():
+                domain.enable_digest()
+        # Plain runs, and supervised ones with nothing to check, install
+        # no barrier hook at all.
+        hook = barrier if barrier is not None and barrier.observing else None
+        result = abort = degraded = None
+        counters: dict = {}
         t0 = perf_counter()
         try:
             with registry.timed("phase.run_s"):
-                if partitioned:
-                    self._drive_partitioned_serial(
-                        sim, emulation, until, budget, writer, verifier,
-                        digests, resume,
-                    )
+                if (
+                    emulation.config.backend == "multiprocess"
+                    and emulation.num_domains > 1
+                ):
+                    from repro.engine.parallel import run_multiprocess
+
+                    try:
+                        result = run_multiprocess(
+                            self,
+                            until,
+                            workers=emulation.config.workers,
+                            policy=res.retry_policy(self._seed),
+                            epoch_timeout_s=res.epoch_timeout_s,
+                            heartbeat_interval_s=res.heartbeat_interval_s,
+                            barrier=hook,
+                            chaos_kill=res.chaos_kill,
+                            chaos_signal=res.chaos_signal,
+                        )
+                    except SupervisionEscalation as escalation:
+                        if barrier is None or not res.degrade:
+                            raise
+                        # The parent's never-run emulation executes
+                        # locally: same domains, same digests.
+                        degraded = (
+                            f"worker {escalation.worker} unrecoverable "
+                            f"after {escalation.attempts} attempt(s)"
+                        )
+                        counters = getattr(escalation, "counters", counters)
+                        self._run_local(until, hook)
                 else:
-                    self._drive_single_domain(
-                        sim, emulation, until, res, budget, writer,
-                        verifier, digests, resume,
-                    )
+                    self._run_local(until, hook)
         except BudgetExceeded as exc:
             abort = exc
         wall = perf_counter() - t0
@@ -850,29 +756,48 @@ class Scenario:
             name=self.name,
             wall_time_s=wall,
         )
-        self._export_traffic_metrics(report)
         self.report = report
-        if abort is not None:
-            outcome = f"aborted{{reason={abort.reason}}}"
-        elif degrade_reason is not None:
-            outcome = f"degraded{{reason={degrade_reason}}}"
+        if result is None:
+            self._export_traffic_metrics(report)
         else:
-            outcome = "completed"
-        digest, events, _, _ = digests()
-        self._annotate_resilience(
-            report,
-            outcome=outcome,
-            digest=digest,
-            events=events,
-            writer=writer,
-            counters=counters,
-            downgrades=1 if degrade_reason is not None else 0,
+            # Worker-resident state the parent cannot patch (TCP
+            # stacks, edge CPUs) arrives as a metric overlay.
+            self.mp_result = result
+            report.metrics.update(result.metric_overlay)
+            abort = result.budget_error
+        if barrier is None:
+            return report
+        if result is None:
+            digests, counts = self._local_digests()
+        else:
+            digests, counts = result.domain_digests, result.domain_digest_events
+        # Supervised: outcome, identity and every resilience counter —
+        # present (zero-valued if idle), so partial reports are
+        # machine-checkable.
+        metrics = report.metrics
+        if abort is not None:
+            metrics["run.outcome"] = f"aborted{{reason={abort.reason}}}"
+        elif degraded is not None:
+            metrics["run.outcome"] = f"degraded{{reason={degraded}}}"
+        else:
+            metrics["run.outcome"] = "completed"
+        metrics["run.digest"] = run_digest(digests)
+        metrics["run.events"] = sum(counts.values())
+        for name in ("heartbeats_missed", "workers_restarted", "retries"):
+            metrics[f"resilience.{name}"] = (
+                getattr(result, name)
+                if result is not None
+                else counters.get(name, 0)
+            )
+        metrics["resilience.checkpoints_written"] = (
+            barrier.writer.written if barrier.writer is not None else 0
         )
+        metrics["resilience.downgrades"] = 1 if degraded is not None else 0
         if resume is not None:
-            report.metrics["run.resumed_from_t"] = resume.barrier_time
+            metrics["run.resumed_from_t"] = resume.barrier_time
         if abort is not None:
             raise RunAborted(abort.reason, report=report, detail=str(abort))
-        if verifier is not None and not verifier.verified:
+        if barrier.verifier is not None and not barrier.verifier.verified:
             raise CheckpointError(
                 "resume completed without crossing the checkpoint "
                 f"barrier (t={resume.barrier_time:g}); the replayed "
@@ -881,242 +806,73 @@ class Scenario:
             )
         return report
 
-    def _drive_partitioned_serial(
-        self, sim, emulation, until, budget, writer, verifier, digests,
-        resume,
-    ) -> None:
-        from repro.resilience import rng_stream_states
+    def _domains(self) -> list:
+        """The event domains of the built simulator (one when
+        unpartitioned)."""
+        return getattr(self.sim, "domains", None) or [self.sim]
 
-        applier = emulation.fault_applier
+    def _local_digests(self) -> Tuple[Dict[int, Any], Dict[int, int]]:
+        """``(domain_digests, domain_counts)`` of the in-process
+        domains (digests are None unless armed)."""
+        domains = self._domains()
+        return (
+            {d.domain_id: d.digest_hexdigest() for d in domains},
+            {d.domain_id: d.events_dispatched for d in domains},
+        )
 
-        def on_epoch(epoch_index: int, horizon: float) -> None:
-            digest, events, domain_digests, domain_counts = digests()
-            budget.check(events=events)
-            if (
-                verifier is not None
-                and not verifier.verified
-                and resume.epoch is not None
-                and epoch_index == resume.epoch
-            ):
-                verifier.verify(
-                    digest=digest,
-                    events=events,
-                    domain_digests=domain_digests,
-                    rng_states=rng_stream_states(emulation.rng),
-                    fault_cursor=(
-                        applier.applied if applier is not None else None
-                    ),
-                    link_state=(
-                        applier.link_state() if applier is not None else None
-                    ),
-                )
-            if writer is not None and writer.due(horizon):
-                writer.write(
-                    barrier_time=horizon,
-                    events=events,
-                    digest=digest,
-                    epoch=epoch_index,
-                    domain_digests=domain_digests,
-                    domain_counts=domain_counts,
-                    snapshots=sim.snapshot(),
-                    rng_states=rng_stream_states(emulation.rng),
-                    metrics={"sim.events_dispatched": events},
-                    fault_cursor=(
-                        applier.applied if applier is not None else None
-                    ),
-                    link_state=(
-                        applier.link_state() if applier is not None else None
-                    ),
-                )
+    def _run_local(self, until: float, barrier) -> None:
+        """Run the in-process engine to ``until``, calling ``barrier``
+        (a :class:`~repro.resilience.RunBarrier`, or None) at every
+        barrier.
 
-        sim.on_epoch = on_epoch
-        try:
-            sim.run(until=until)
-        finally:
-            sim.on_epoch = None
-
-    def _drive_single_domain(
-        self, sim, emulation, until, res, budget, writer, verifier,
-        digests, resume,
-    ) -> None:
-        from repro.resilience import rng_stream_states
-
-        if writer is None and verifier is None and not budget.active:
+        A partitioned simulator reports its epoch barriers through
+        ``sim.on_epoch``. One domain is a 1-domain barrier sequence
+        chunked at virtual-time marks, which is stream-identical to a
+        single run (the heap and seq counter are untouched). Without a
+        barrier this is one ``sim.run(until)``.
+        """
+        sim = self.sim
+        if barrier is None:
             sim.run(until=until)
             return
-        # Chunking one domain at virtual-time marks is stream-identical
-        # to a single run (the heap and seq counter are untouched), so
-        # barriers here are free determinism-wise.
-        step = res.checkpoint_every_s or (until / 16.0)
-        next_mark = step
-        while sim.now < until:
-            target = min(until, next_mark)
-            if (
-                verifier is not None
-                and not verifier.verified
-                and sim.now < resume.barrier_time
-            ):
-                target = min(target, resume.barrier_time)
-            if target <= sim.now:
-                next_mark += step
-                continue
-            sim.run(until=target)
-            digest, events, _, _ = digests()
-            budget.check(events=events)
-            applier = emulation.fault_applier
-            if (
-                verifier is not None
-                and not verifier.verified
-                and sim.now >= resume.barrier_time
-            ):
-                verifier.verify(
-                    digest=digest,
-                    events=events,
-                    rng_states=rng_stream_states(emulation.rng),
-                    fault_cursor=(
-                        applier.applied if applier is not None else None
-                    ),
-                    link_state=(
-                        applier.link_state() if applier is not None else None
-                    ),
-                )
-            if writer is not None and writer.due(sim.now):
-                writer.write(
-                    barrier_time=sim.now,
-                    events=events,
-                    digest=digest,
-                    epoch=None,
-                    snapshots=[sim.snapshot()],
-                    rng_states=rng_stream_states(emulation.rng),
-                    metrics={"sim.events_dispatched": events},
-                    fault_cursor=(
-                        applier.applied if applier is not None else None
-                    ),
-                    link_state=(
-                        applier.link_state() if applier is not None else None
-                    ),
-                )
-            while next_mark <= sim.now:
-                next_mark += step
-
-    def _run_multiprocess_resilient(
-        self, until: float, registry: MetricsRegistry, res
-    ) -> RunReport:
-        """Supervised multiprocess run: verified worker recovery via
-        the supervisor, budget checks and checkpoints at epoch
-        barriers, and (by default) degradation to serial partitioned
-        execution when a worker is unrecoverable — same digests by
-        construction, with the downgrade recorded in the report."""
-        from repro.check.sanitize import compose_domain_digests
-        from repro.engine.parallel import run_multiprocess
-        from repro.resilience import (
-            CheckpointError,
-            ResumeVerifier,
-            RunAborted,
-            SupervisionEscalation,
-        )
-
         emulation = self.emulation
-        resume = self._resume
-        budget = res.budget().start()
-        writer = self._checkpoint_writer(res, until)
-        verifier = ResumeVerifier(resume) if resume is not None else None
+        domains = self._domains()
 
-        def on_epoch(epoch_index, horizon, digests, counts) -> None:
-            events = sum(counts.values())
-            if (
-                verifier is not None
-                and not verifier.verified
-                and resume.epoch is not None
-                and epoch_index == resume.epoch
-            ):
-                verifier.verify(
-                    digest=compose_domain_digests(digests),
-                    events=events,
-                    domain_digests=digests,
-                )
-            if writer is not None and writer.due(horizon):
-                writer.write(
-                    barrier_time=horizon,
-                    events=events,
-                    digest=compose_domain_digests(digests),
-                    epoch=epoch_index,
-                    domain_digests=digests,
-                    domain_counts=counts,
-                    metrics={"sim.events_dispatched": events},
-                )
+        def state() -> dict:
+            applier = emulation.fault_applier
+            faulted = applier is not None
+            return {
+                "rng_states": rng_stream_states(emulation.rng),
+                "snapshots": [domain.snapshot() for domain in domains],
+                "fault_cursor": applier.applied if faulted else None,
+                "link_state": applier.link_state() if faulted else None,
+            }
 
-        t0 = perf_counter()
-        try:
-            with registry.timed("phase.run_s"):
-                result = run_multiprocess(
-                    self,
-                    until,
-                    workers=emulation.config.workers,
-                    policy=res.retry_policy(self._seed),
-                    epoch_timeout_s=res.epoch_timeout_s,
-                    heartbeat_interval_s=res.heartbeat_interval_s,
-                    budget=budget,
-                    on_epoch=on_epoch,
-                    chaos_kill=res.chaos_kill,
-                    chaos_signal=res.chaos_signal,
-                )
-        except SupervisionEscalation as escalation:
-            if not res.degrade:
-                raise
-            return self._run_serial_resilient(
-                until,
-                registry,
-                res,
-                degrade_reason=(
-                    f"worker {escalation.worker} unrecoverable after "
-                    f"{escalation.attempts} attempt(s)"
-                ),
-                counters=getattr(escalation, "counters", None),
-            )
-        wall = perf_counter() - t0
-        self.mp_result = result
-        report = build_report(
-            emulation,
-            registry=registry if registry.enabled else None,
-            name=self.name,
-            wall_time_s=wall,
-        )
-        report.metrics.update(result.metric_overlay)
-        self.report = report
-        outcome = (
-            "completed"
-            if result.outcome == "completed"
-            else f"aborted{{reason={result.abort_reason}}}"
-        )
-        self._annotate_resilience(
-            report,
-            outcome=outcome,
-            digest=result.composed_digest,
-            events=result.events_dispatched,
-            writer=writer,
-            counters={
-                "heartbeats_missed": result.heartbeats_missed,
-                "workers_restarted": result.workers_restarted,
-                "retries": result.retries,
-            },
-        )
-        if resume is not None:
-            report.metrics["run.resumed_from_t"] = resume.barrier_time
-        if result.outcome != "completed":
-            raise RunAborted(
-                result.abort_reason or "aborted",
-                report=report,
-                detail=str(result.budget_error or ""),
-            )
+        def at_barrier(epoch: Optional[int], horizon: float) -> None:
+            barrier(epoch, horizon, *self._local_digests(), state=state)
+
+        if len(domains) > 1:
+            sim.on_epoch = at_barrier
+            try:
+                sim.run(until=until)
+            finally:
+                sim.on_epoch = None
+            return
+        # Chunk marks: the checkpoint cadence (else until/16), anchored
+        # at t=0 like the writer's, plus the resume barrier.
+        writer, verifier = barrier.writer, barrier.verifier
+        step = writer.every_s if writer is not None else until / 16.0
+        marks = {until}
+        mark = step
+        while mark < until:
+            marks.add(mark)
+            mark += step
         if verifier is not None and not verifier.verified:
-            raise CheckpointError(
-                "resume completed without crossing the checkpoint "
-                f"barrier (epoch {resume.epoch}); the replayed prefix "
-                "was never verified — is `until` shorter than the "
-                "checkpoint?"
-            )
-        return report
+            marks.add(min(verifier.checkpoint.barrier_time, until))
+        for mark in sorted(marks):
+            if mark > sim.now:
+                sim.run(until=mark)
+                at_barrier(None, sim.now)
 
     # -- spec round trip (multiprocess workers) ---------------------------
 

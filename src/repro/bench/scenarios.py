@@ -273,7 +273,7 @@ def multicore_scaling(
     sets the multiprocess worker-pool size (0 = one per domain).
     """
     from repro.api import Scenario
-    from repro.check.sanitize import compose_domain_digests
+    from repro.engine.domain import run_digest
     from repro.engine.parallel import run_multiprocess
     from repro.topology.generators import ring_topology
 
@@ -335,7 +335,7 @@ def multicore_scaling(
             walls["serial"] = perf_counter() - t1
             events += sim.events_dispatched
             pkts += emulation.monitor.packets_entered
-            digests["serial"] = compose_domain_digests(
+            digests["serial"] = run_digest(
                 {d.domain_id: d.digest_hexdigest() for d in sim.domains}
             )
             extras["serial_events_per_s"] = round(

@@ -28,6 +28,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, NamedTuple, Optional
 
+from repro.engine.domain import compose_domain_digests, diff_domain_digests  # noqa: F401
 from repro.engine.simulator import Event, Simulator
 
 
@@ -98,32 +99,6 @@ class DomainProbe:
 
     def hexdigest(self) -> str:
         return self._hash.hexdigest()
-
-
-def diff_domain_digests(expected, actual) -> List[int]:
-    """Domain ids whose digests disagree (or exist on one side only).
-
-    The recovery digest compare: the resilience supervisor uses this
-    to decide whether a replayed worker reproduced its pre-crash event
-    stream, and ``--resume`` uses it to verify a replayed prefix
-    against a checkpoint. Values are hex digest strings keyed by
-    domain id.
-    """
-    ids = sorted(set(expected) | set(actual))
-    return [d for d in ids if expected.get(d) != actual.get(d)]
-
-
-def compose_domain_digests(digests) -> str:
-    """Fold per-domain digests into one, sorted by domain id.
-
-    The composition is executor-independent: a serial partitioned run
-    and a multiprocess run (any worker count) of the same scenario
-    produce the same per-domain digests, hence the same composition.
-    """
-    composed = hashlib.sha256()
-    for domain_id in sorted(digests):
-        composed.update(f"{domain_id}:{digests[domain_id]}\n".encode())
-    return composed.hexdigest()
 
 
 class SimSanitizer:

@@ -23,7 +23,7 @@ import functools
 import hashlib
 import heapq
 import struct
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 INFINITY = float("inf")
 
@@ -469,3 +469,43 @@ class EventDomain:
         if horizon < self._now:
             horizon = self._now
         return self.run_until(horizon, inclusive)
+
+
+# ----------------------------------------------------------------------
+# Run identity: per-domain digests and their composition
+# ----------------------------------------------------------------------
+
+def compose_domain_digests(digests) -> str:
+    """Fold per-domain digests into one, sorted by domain id.
+
+    The composition is executor-independent: a serial partitioned run
+    and a multiprocess run (any worker count) of the same scenario
+    produce the same per-domain digests, hence the same composition.
+    """
+    composed = hashlib.sha256()
+    for domain_id in sorted(digests):
+        composed.update(f"{domain_id}:{digests[domain_id]}\n".encode())
+    return composed.hexdigest()
+
+
+def diff_domain_digests(expected, actual) -> List[int]:
+    """Domain ids whose digests disagree (or exist on one side only).
+
+    The recovery digest compare: the resilience supervisor uses this
+    to decide whether a replayed worker reproduced its pre-crash event
+    stream, and ``--resume`` uses it to verify a replayed prefix
+    against a checkpoint. Values are hex digest strings keyed by
+    domain id.
+    """
+    ids = sorted(set(expected) | set(actual))
+    return [d for d in ids if expected.get(d) != actual.get(d)]
+
+
+def run_digest(digests: Dict[int, str]) -> str:
+    """The digest of a whole run from ``{domain_id: hexdigest}``: a
+    single domain's own digest (what ``repro-net sanitize`` hashes for
+    an unpartitioned run), else :func:`compose_domain_digests`."""
+    if len(digests) == 1:
+        (digest,) = digests.values()
+        return digest
+    return compose_domain_digests(digests)

@@ -44,8 +44,9 @@ parent drives the epoch barrier through a
 crashes and hangs, respawns dead workers from the spec, and replays
 them to the last completed barrier with a digest check — so a SIGKILL
 mid-run yields the same composed digest as an undisturbed run.
-Budget guards and checkpoint callbacks observe the loop at epoch
-boundaries and never alter the epoch structure.
+A supervised run's barrier hook (budget guard, resume verification,
+checkpoints) observes the loop at epoch boundaries and never alters
+the epoch structure.
 
 One synchronous round trip per worker per epoch is the price of the
 barrier. Per-pair lookahead and epoch coalescing keep that price
@@ -64,7 +65,7 @@ import threading
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.domain import INFINITY
+from repro.engine.domain import INFINITY, run_digest
 from repro.engine.sync import (
     DomainMessage,
     MSG_HOST,
@@ -73,7 +74,6 @@ from repro.engine.sync import (
 )
 from repro.resilience.policy import (
     BudgetExceeded,
-    BudgetGuard,
     ResilienceError,
     RetryPolicy,
 )
@@ -162,19 +162,13 @@ def unpack_frame(frame: Optional[bytes]) -> List[DomainMessage]:
 
 def _build_from_spec(spec):
     """Rebuild the scenario in this process (identical by determinism
-    of the build path) and return (scenario, partitioned sim,
-    emulation)."""
+    of the build path) and return (partitioned sim, emulation). The
+    parent checked the spec partitions before spawning."""
     from repro.api import Scenario
 
     scenario = Scenario.from_spec(spec)
     emulation = scenario.build()
-    sim = scenario.sim
-    if getattr(sim, "domains", None) is None or sim.num_domains < 2:
-        raise ParallelExecutionError(
-            "spec did not produce a partitioned simulator; the "
-            "multiprocess backend needs num_domains >= 2"
-        )
-    return scenario, sim, emulation
+    return scenario.sim, emulation
 
 
 def _domain_digests(sim, owned: Sequence[int]) -> Dict[int, Tuple[str, int]]:
@@ -313,7 +307,7 @@ def _worker_main(
         ).start()
     epoch_index = 0
     try:
-        _scenario, sim, emulation = _build_from_spec(spec)
+        sim, emulation = _build_from_spec(spec)
         for d in owned:
             sim.domains[d].enable_digest()
         _send(
@@ -432,9 +426,7 @@ class MultiprocessResult:
         #: clock too).
         self.spawn_s = 0.0
         self.workers = 0
-        #: ``completed`` or ``aborted`` (budget exhaustion mid-run).
-        self.outcome = "completed"
-        self.abort_reason: Optional[str] = None
+        #: Set when a budget ran out mid-run (see :attr:`outcome`).
         self.budget_error: Optional[BudgetExceeded] = None
         # Supervision counters (surfaced as resilience.* metrics).
         self.heartbeats_missed = 0
@@ -442,14 +434,17 @@ class MultiprocessResult:
         self.retries = 0
 
     @property
+    def outcome(self) -> str:
+        """``completed``, or ``aborted`` on budget exhaustion."""
+        return "completed" if self.budget_error is None else "aborted"
+
+    @property
     def events_dispatched(self) -> int:
         return sum(self.events_by_domain.values())
 
     @property
     def composed_digest(self) -> str:
-        from repro.check.sanitize import compose_domain_digests
-
-        return compose_domain_digests(self.domain_digests)
+        return run_digest(self.domain_digests)
 
 
 def _mp_context():
@@ -468,8 +463,7 @@ def run_multiprocess(
     policy: Optional[RetryPolicy] = None,
     epoch_timeout_s: float = 30.0,
     heartbeat_interval_s: float = 0.5,
-    budget: Optional[BudgetGuard] = None,
-    on_epoch: Optional[Callable[[int, float, dict, dict], None]] = None,
+    barrier: Optional[Callable[..., None]] = None,
     chaos_kill: Optional[Tuple[int, int]] = None,
     chaos_signal: int = _signal.SIGKILL,
 ) -> MultiprocessResult:
@@ -483,8 +477,8 @@ def run_multiprocess(
     context-switch chain at every barrier); an explicit count is
     honored uncapped. Domains are dealt to workers round-robin; any
     worker count from 1 to ``num_domains`` produces identical
-    digests. When a single worker owns every domain (and no chaos,
-    budget, or epoch hook is in play) the worker runs the whole epoch
+    digests. When a single worker owns every domain (and neither chaos
+    nor a barrier hook is in play) the worker runs the whole epoch
     loop in-process — one command, zero per-epoch IPC. Every worker
     streams its domains' native digests (supervision needs them for
     verified recovery), so ``result.composed_digest`` is always set.
@@ -494,13 +488,14 @@ def run_multiprocess(
     (digest-verified) per ``policy``; when retries run out a
     :class:`~repro.resilience.supervisor.SupervisionEscalation`
     propagates so the caller can degrade to the serial backend.
-    ``budget`` is checked at every epoch barrier; exhaustion ends the
-    run early with ``result.outcome == "aborted"`` and whatever stats
-    the workers could still report. ``on_epoch(epoch_index, horizon,
-    domain_digests, domain_counts)`` fires after every epoch (the
-    checkpoint hook). ``chaos_kill=(epoch, worker)`` delivers
-    ``chaos_signal`` to one worker just before that epoch — the
-    deterministic fault-injection hook for tests and the
+    ``barrier(epoch_index, horizon, domain_digests, domain_counts,
+    pids=worker_pids)`` fires after every epoch (a supervised run's
+    :class:`~repro.resilience.checkpoint.RunBarrier`); a
+    :class:`~repro.resilience.policy.BudgetExceeded` it raises ends
+    the run early with ``result.outcome == "aborted"`` and whatever
+    stats the workers could still report. ``chaos_kill=(epoch,
+    worker)`` delivers ``chaos_signal`` to one worker just before that
+    epoch — the deterministic fault-injection hook for tests and the
     ``chaos_recovery`` benchmark.
     """
     sim = scenario.sim
@@ -531,12 +526,7 @@ def run_multiprocess(
 
     # Single-worker fast path: one worker owns every domain and runs
     # the whole epoch loop in-process (no per-epoch IPC).
-    fast = (
-        num_workers == 1
-        and chaos_kill is None
-        and on_epoch is None
-        and budget is None
-    )
+    fast = num_workers == 1 and chaos_kill is None and barrier is None
 
     def spawn(index: int):
         parent_conn, child_conn = ctx.Pipe()
@@ -556,8 +546,6 @@ def run_multiprocess(
         epoch_timeout_s=epoch_timeout_s,
         heartbeat_interval_s=heartbeat_interval_s,
     )
-    if budget is not None and budget._t0 is None:
-        budget.start()
     stats: List[dict] = []
     matrix = sim.matrix
     t0 = perf_counter()  # repro: allow-wallclock
@@ -571,15 +559,9 @@ def run_multiprocess(
         if fast:
             # One worker owns every domain: no cross-worker mail, no
             # global minimum to compute — the worker runs the serial
-            # epoch loop itself and reports once at the end.
-            reply = supervisor.run_all(until)
-            result.wall_time_s = perf_counter() - t0  # repro: allow-wallclock
-            next_times.update(reply[1])
-            result.epochs, result.messages_routed = reply[2]
-            for d, (digest, count) in reply[3].items():
-                result.domain_digests[d] = digest
-                result.domain_digest_events[d] = count
-            stats = supervisor.finish(until)
+            # epoch loop itself and reports once at the end (its final
+            # digests arrive with the stats).
+            result.epochs, result.messages_routed = supervisor.run_all(until)[2]
         else:
             pending: List[DomainMessage] = []
             while True:
@@ -592,10 +574,7 @@ def run_multiprocess(
                 windows = epoch_windows(eff_next, matrix, until)
                 if windows is None:
                     break
-                barrier = INFINITY
-                for window in windows:
-                    if window is not None and window[0] < barrier:
-                        barrier = window[0]
+                horizon = fault_barrier(windows)
                 pending.sort(key=lambda m: (m.time, m.src_domain, m.seq))
                 slices: List[List[DomainMessage]] = [
                     [] for _ in range(num_workers)
@@ -618,23 +597,18 @@ def run_multiprocess(
                         result.domain_digests[d] = digest
                         result.domain_digest_events[d] = count
                 result.epochs += 1
-                if budget is not None:
-                    budget.check(
-                        events=sum(result.domain_digest_events.values()),
-                        pids=supervisor.pids(),
-                    )
-                if on_epoch is not None:
-                    on_epoch(
+                if barrier is not None:
+                    barrier(
                         result.epochs - 1,
-                        barrier,
+                        horizon,
                         dict(result.domain_digests),
                         dict(result.domain_digest_events),
+                        pids=supervisor.pids(),
                     )
-            result.wall_time_s = perf_counter() - t0  # repro: allow-wallclock
-            stats = supervisor.finish(until)
+        result.wall_time_s = perf_counter() - t0  # repro: allow-wallclock
+        stats = supervisor.finish(until)
     except BudgetExceeded as exc:
-        result.outcome = "aborted"
-        result.abort_reason = exc.reason
+        result.wall_time_s = perf_counter() - t0  # repro: allow-wallclock
         result.budget_error = exc
         try:
             # Best-effort partial stats: no clock fast-forward.
@@ -646,9 +620,6 @@ def run_multiprocess(
         result.workers_restarted = supervisor.workers_restarted
         result.retries = supervisor.retries
         supervisor.shutdown()
-    if result.wall_time_s == 0.0:
-        # Aborted runs never reached the run-phase clock stop above.
-        result.wall_time_s = perf_counter() - t0  # repro: allow-wallclock
     result.metric_overlay["parallel.spawn_s"] = result.spawn_s
 
     _merge_stats(

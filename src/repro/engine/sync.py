@@ -513,7 +513,9 @@ def fault_barrier(
     windows: Sequence[Optional[Tuple[float, bool]]]
 ) -> float:
     """The horizon up to which fault-timeline occurrences are applied
-    before an epoch dispatches: the epoch's minimum granted horizon.
+    before an epoch dispatches: the epoch's minimum granted horizon,
+    which is also the barrier time both executors report to barrier
+    hooks.
 
     Every participant — the serial epoch loop and every multiprocess
     worker — evaluates this on the *same* window list (workers receive
@@ -644,10 +646,6 @@ class PartitionedSimulator:
         """Per-domain dispatch counts (load-imbalance attribution)."""
         return [domain._dispatched for domain in self.domains]
 
-    def snapshot(self) -> List[dict]:
-        """Per-domain :meth:`EventDomain.snapshot` list (checkpoints)."""
-        return [domain.snapshot() for domain in self.domains]
-
     @property
     def pending(self) -> int:
         return sum(domain.pending for domain in self.domains) + len(
@@ -754,16 +752,12 @@ class PartitionedSimulator:
                 windows = epoch_windows(next_times, matrix, until)
                 if windows is None:
                     break
+                barrier = fault_barrier(windows)
                 if self.fault_hook is not None:
-                    self.fault_hook(fault_barrier(windows))
-                barrier = INFINITY
+                    self.fault_hook(barrier)
                 for domain, window in zip(domains, windows):
-                    if window is None:
-                        continue
-                    horizon, inclusive = window
-                    domain.run_window(horizon, inclusive)
-                    if horizon < barrier:
-                        barrier = horizon
+                    if window is not None:
+                        domain.run_window(*window)
                 self.epochs += 1
                 if self.on_epoch is not None:
                     self.on_epoch(self.epochs - 1, barrier)

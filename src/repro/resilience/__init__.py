@@ -28,6 +28,7 @@ from repro.resilience.checkpoint import (
     CheckpointError,
     CheckpointWriter,
     ResumeVerifier,
+    RunBarrier,
     load_checkpoint,
     rng_stream_states,
     write_checkpoint,
@@ -62,6 +63,7 @@ __all__ = [
     "ResumeVerifier",
     "RetryPolicy",
     "RunAborted",
+    "RunBarrier",
     "SupervisionEscalation",
     "WorkerCrash",
     "WorkerDesync",

@@ -22,6 +22,10 @@ Checkpoints are written atomically (temp file + ``os.replace``) at
 epoch barriers (partitioned backends) or virtual-time chunk marks
 (single-domain runs) so a file on disk is always a complete, loadable
 checkpoint even if the writer was killed mid-write.
+
+:class:`RunBarrier` is the one place a supervised run observes its
+barriers: budget check, resume verification and checkpoint write,
+whichever executor reached the barrier.
 """
 
 from __future__ import annotations
@@ -30,9 +34,10 @@ import os
 import pickle
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.resilience.policy import ResilienceError
+from repro.engine.domain import diff_domain_digests, run_digest
+from repro.resilience.policy import BudgetGuard, ResilienceError
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -44,6 +49,7 @@ __all__ = [
     "load_checkpoint",
     "rng_stream_states",
     "ResumeVerifier",
+    "RunBarrier",
 ]
 
 CHECKPOINT_VERSION = 1
@@ -164,14 +170,11 @@ class CheckpointWriter:
         events: int,
         digest: str,
         epoch: Optional[int] = None,
-        domain_digests: Optional[Dict[int, str]] = None,
-        domain_counts: Optional[Dict[int, int]] = None,
-        snapshots: Optional[List[dict]] = None,
-        rng_states: Optional[Dict[str, tuple]] = None,
-        metrics: Optional[Dict[str, Any]] = None,
-        fault_cursor: Optional[int] = None,
-        link_state: Optional[Dict[Any, tuple]] = None,
+        **fields,
     ) -> Checkpoint:
+        """Write the checkpoint of one barrier; ``fields`` are the
+        optional :class:`Checkpoint` fields (per-domain maps,
+        in-process state, ``metrics``)."""
         checkpoint = Checkpoint(
             spec=self.spec,
             until=self.until,
@@ -180,14 +183,8 @@ class CheckpointWriter:
             epoch=epoch,
             events=events,
             digest=digest,
-            domain_digests=domain_digests,
-            domain_counts=domain_counts,
-            snapshots=snapshots,
-            rng_states=rng_states,
-            metrics=dict(metrics or {}),
             index=self.written,
-            fault_cursor=fault_cursor,
-            link_state=link_state,
+            **fields,
         )
         write_checkpoint(self.path, checkpoint)
         self.written += 1
@@ -202,6 +199,16 @@ class ResumeVerifier:
     def __init__(self, checkpoint: Checkpoint) -> None:
         self.checkpoint = checkpoint
         self.verified = False
+
+    def due(self, epoch: Optional[int], barrier_time: float) -> bool:
+        """Whether this barrier is the (still unverified) checkpoint
+        barrier: the same epoch index on a partitioned run, the first
+        chunk mark at or past the checkpoint time on a single domain."""
+        if self.verified:
+            return False
+        if self.checkpoint.epoch is not None:
+            return epoch == self.checkpoint.epoch
+        return barrier_time >= self.checkpoint.barrier_time
 
     def verify(
         self,
@@ -225,8 +232,6 @@ class ResumeVerifier:
                 f"event count {events} != checkpointed {ckpt.events}"
             )
         if domain_digests is not None and ckpt.domain_digests is not None:
-            from repro.check.sanitize import diff_domain_digests
-
             bad = diff_domain_digests(ckpt.domain_digests, domain_digests)
             if bad:
                 mismatches.append(f"per-domain digests differ for {bad}")
@@ -238,24 +243,98 @@ class ResumeVerifier:
             )
             if bad_streams:
                 mismatches.append(f"RNG stream states differ for {bad_streams}")
-        # getattr: checkpoints pickled before the fault-timeline fields
-        # existed simply skip these comparisons.
-        ckpt_cursor = getattr(ckpt, "fault_cursor", None)
-        if fault_cursor is not None and ckpt_cursor is not None:
-            if fault_cursor != ckpt_cursor:
+        # Checkpoints pickled before the fault-timeline fields existed
+        # read the dataclass defaults (None) and skip these comparisons.
+        if fault_cursor is not None and ckpt.fault_cursor is not None:
+            if fault_cursor != ckpt.fault_cursor:
                 mismatches.append(
                     f"fault timeline cursor {fault_cursor} != "
-                    f"checkpointed {ckpt_cursor}"
+                    f"checkpointed {ckpt.fault_cursor}"
                 )
-        ckpt_links = getattr(ckpt, "link_state", None)
-        if link_state is not None and ckpt_links is not None:
+        if link_state is not None and ckpt.link_state is not None:
             bad_links = sorted(
                 str(link)
-                for link in set(ckpt_links) | set(link_state)
-                if ckpt_links.get(link) != link_state.get(link)
+                for link in set(ckpt.link_state) | set(link_state)
+                if ckpt.link_state.get(link) != link_state.get(link)
             )
             if bad_links:
                 mismatches.append(f"perturbed link state differs for {bad_links}")
         if mismatches:
             raise CheckpointDivergence(mismatches)
         self.verified = True
+
+
+class RunBarrier:
+    """The barrier hook of one supervised run.
+
+    Created once per run, it owns the started :class:`BudgetGuard`,
+    the optional :class:`CheckpointWriter` and the optional
+    :class:`ResumeVerifier`. Every executor calls it at each barrier:
+    the serial partitioned loop and the multiprocess parent at epoch
+    barriers, a single-domain run at its virtual-time chunk marks. A
+    multiprocess run that degrades to local execution keeps calling
+    the same object, so the wall budget and the checkpoint count span
+    the whole run.
+    """
+
+    def __init__(
+        self,
+        budget: BudgetGuard,
+        writer: Optional[CheckpointWriter] = None,
+        verifier: Optional[ResumeVerifier] = None,
+    ) -> None:
+        self.budget = budget.start()
+        self.writer = writer
+        self.verifier = verifier
+        #: False when no barrier needs visiting at all (no budget, no
+        #: checkpoints, no resume): executors then install no hook.
+        self.observing = (
+            budget.active or writer is not None or verifier is not None
+        )
+
+    def __call__(
+        self,
+        epoch: Optional[int],
+        horizon: float,
+        domain_digests: Dict[int, str],
+        domain_counts: Dict[int, int],
+        state: Optional[Callable[[], Dict[str, Any]]] = None,
+        pids: Sequence[int] = (),
+    ) -> None:
+        """Check the budget, verify a resume, write a checkpoint.
+
+        ``epoch`` is None at a single-domain chunk mark. ``state``,
+        given only by in-process executors, returns the
+        ``rng_states``/``snapshots``/``fault_cursor``/``link_state``
+        the verifier and writer record; it is called only when one of
+        them is due. ``pids`` are worker processes whose resident set
+        counts against the RSS budget.
+        """
+        events = sum(domain_counts.values())
+        self.budget.check(events=events, pids=pids)
+        verify = self.verifier is not None and self.verifier.due(epoch, horizon)
+        write = self.writer is not None and self.writer.due(horizon)
+        if not (verify or write):
+            return
+        digest = run_digest(domain_digests)
+        extra = state() if state is not None else {}
+        if verify:
+            self.verifier.verify(
+                digest=digest,
+                events=events,
+                domain_digests=domain_digests,
+                rng_states=extra.get("rng_states"),
+                fault_cursor=extra.get("fault_cursor"),
+                link_state=extra.get("link_state"),
+            )
+        if write:
+            self.writer.write(
+                barrier_time=horizon,
+                events=events,
+                digest=digest,
+                epoch=epoch,
+                domain_digests=domain_digests,
+                domain_counts=domain_counts,
+                metrics={"sim.events_dispatched": events},
+                **extra,
+            )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 import resource
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.engine.randomness import RngRegistry
@@ -239,7 +239,6 @@ class ResilienceConfig:
     # (epoch_index, worker_index) to signal just before that epoch.
     chaos_kill: Optional[Tuple[int, int]] = None
     chaos_signal: int = 9  # SIGKILL
-    extra: dict = field(default_factory=dict)
 
     def budget(self) -> BudgetGuard:
         rss = None

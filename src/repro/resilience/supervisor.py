@@ -41,6 +41,7 @@ import signal
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.domain import diff_domain_digests
 from repro.resilience.policy import ResilienceError, RetryPolicy
 
 #: How long :meth:`WorkerSupervisor.shutdown` waits for a stopped
@@ -218,25 +219,7 @@ class WorkerSupervisor:
         digests)`` replies, indexed by worker.
         """
         self._history.append((payload, frames))
-        replies: List[Any] = [None] * len(self.workers)
-        for handle in self.workers:
-            command = ("epoch", payload, frames[handle.index])
-            try:
-                self._send(handle, command)
-            except WorkerFailure as failure:
-                replies[handle.index] = self._handle_failure(
-                    handle, failure, resend=command
-                )
-        for handle in self.workers:
-            if replies[handle.index] is not None:
-                continue
-            command = ("epoch", payload, frames[handle.index])
-            try:
-                replies[handle.index] = self._recv(handle)
-            except WorkerFailure as failure:
-                replies[handle.index] = self._handle_failure(
-                    handle, failure, resend=command
-                )
+        replies = self._broadcast([("epoch", payload, frame) for frame in frames])
         for handle, reply in zip(self.workers, replies):
             handle.completed += 1
             handle.next_times = dict(reply[1])
@@ -272,23 +255,8 @@ class WorkerSupervisor:
 
     def finish(self, until) -> List[dict]:
         """Send the final command; returns per-worker stats dicts."""
-        stats: List[Optional[dict]] = [None] * len(self.workers)
-        command = ("finish", until)
-        pending = []
-        for handle in self.workers:
-            try:
-                self._send(handle, command)
-                pending.append(handle)
-            except WorkerFailure as failure:
-                reply = self._handle_failure(handle, failure, resend=command)
-                stats[handle.index] = reply[1]
-        for handle in pending:
-            try:
-                reply = self._recv(handle)
-            except WorkerFailure as failure:
-                reply = self._handle_failure(handle, failure, resend=command)
-            stats[handle.index] = reply[1]
-        return [s for s in stats if s is not None]
+        replies = self._broadcast([("finish", until)] * len(self.workers))
+        return [reply[1] for reply in replies]
 
     def shutdown(self) -> None:
         """Stop and reap every worker process.
@@ -346,6 +314,41 @@ class WorkerSupervisor:
                 detail=f"pipe write failed: {exc!r}",
             ) from exc
 
+    def _broadcast(self, commands: List[Any]) -> List[Any]:
+        """Send ``commands[i]`` to worker ``i``, then collect every
+        reply; a failed worker is recovered and re-issued its command.
+        All workers are told before any is awaited, so they compute
+        in parallel."""
+        replies: List[Any] = [None] * len(self.workers)
+        for handle in self.workers:
+            command = commands[handle.index]
+            try:
+                self._send(handle, command)
+            except WorkerFailure as failure:
+                replies[handle.index] = self._handle_failure(
+                    handle, failure, resend=command
+                )
+        for handle in self.workers:
+            if replies[handle.index] is not None:
+                continue
+            try:
+                replies[handle.index] = self._recv(handle)
+            except WorkerFailure as failure:
+                replies[handle.index] = self._handle_failure(
+                    handle, failure, resend=commands[handle.index]
+                )
+        return replies
+
+    def _check_alive(self, handle: WorkerHandle) -> None:
+        """Raise :class:`WorkerCrash` if the worker process has died."""
+        if handle.proc is not None and not handle.proc.is_alive():
+            raise WorkerCrash(
+                handle.index,
+                handle.domains,
+                self.epoch_index,
+                detail=f"process died (exitcode {handle.proc.exitcode})",
+            )
+
     def _recv(self, handle: WorkerHandle, timeout_s: Optional[float] = None):
         """Receive the next non-heartbeat reply, within the timeout.
 
@@ -361,16 +364,7 @@ class WorkerSupervisor:
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                if handle.proc is not None and not handle.proc.is_alive():
-                    raise WorkerCrash(
-                        handle.index,
-                        handle.domains,
-                        self.epoch_index,
-                        detail=(
-                            "process died "
-                            f"(exitcode {handle.proc.exitcode})"
-                        ),
-                    )
+                self._check_alive(handle)
                 liveness = (
                     f"{beats} heartbeat(s) received while waiting "
                     "(livelocked?)"
@@ -389,16 +383,7 @@ class WorkerSupervisor:
             try:
                 if not handle.conn.poll(window):
                     self.heartbeats_missed += 1
-                    if handle.proc is not None and not handle.proc.is_alive():
-                        raise WorkerCrash(
-                            handle.index,
-                            handle.domains,
-                            self.epoch_index,
-                            detail=(
-                                "process died "
-                                f"(exitcode {handle.proc.exitcode})"
-                            ),
-                        )
+                    self._check_alive(handle)
                     continue
                 reply = handle.conn.recv()
             except (EOFError, OSError) as exc:
@@ -485,8 +470,6 @@ class WorkerSupervisor:
             digests = dict(reply[3])
         if handle.completed == 0 or handle.last_digests is None:
             return
-        from repro.check.sanitize import diff_domain_digests
-
         expected = {d: h for d, (h, _) in handle.last_digests.items()}
         actual = {d: h for d, (h, _) in (digests or {}).items()}
         bad = diff_domain_digests(expected, actual)

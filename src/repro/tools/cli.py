@@ -186,13 +186,24 @@ def _emit_report(args, report) -> None:
         print(report.to_json())
 
 
+def _load_digests(path: str) -> dict:
+    """``{seed: digest}`` from a committed ``*.digests.json`` baseline
+    (keys starting with ``_`` are comments)."""
+    import json
+
+    with open(path) as handle:
+        return {
+            int(key): value
+            for key, value in json.load(handle).items()
+            if not key.startswith("_")
+        }
+
+
 def _cmd_run(args) -> int:
     """The Run phase: drive a Scenario over a GML topology and emit
     its RunReport. With --resume/--checkpoint-every/--max-* the
     supervised (resilient) run path applies; budget aborts save the
     partial report and exit 3."""
-    import json
-
     from repro.api import Scenario
     from repro.resilience import (
         CheckpointDivergence,
@@ -278,12 +289,7 @@ def _cmd_run(args) -> int:
         return 4
     _emit_report(args, report)
     if args.expect_digests:
-        with open(args.expect_digests) as handle:
-            expected = {
-                int(key): value
-                for key, value in json.load(handle).items()
-                if not key.startswith("_")
-            }
+        expected = _load_digests(args.expect_digests)
         digest = report.metrics.get("run.digest")
         want = expected.get(scenario._seed)
         if want is None:
@@ -428,20 +434,11 @@ def _cmd_check(args) -> int:
 
 def _cmd_sanitize(args) -> int:
     """Run a scenario twice per seed and diff the event digests."""
-    import json
-
     from repro.api import Scenario
     from repro.check import sanitize_scenario, sanitize_scenario_multiprocess
 
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    expected = {}
-    if args.expect_digests:
-        with open(args.expect_digests) as handle:
-            expected = {
-                int(key): value
-                for key, value in json.load(handle).items()
-                if not key.startswith("_")
-            }
+    expected = _load_digests(args.expect_digests) if args.expect_digests else {}
 
     def make_scenario() -> Scenario:
         scenario = (

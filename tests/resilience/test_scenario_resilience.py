@@ -244,6 +244,31 @@ def test_unrecoverable_worker_degrades_to_serial_with_counters():
     assert report.metrics["run.digest"]
 
 
+def test_degraded_run_starts_its_budget_once(monkeypatch):
+    """The local rerun reuses the run's barrier: one budget clock, one
+    run-phase timing spanning the failed parallel attempt too."""
+    from repro.resilience import BudgetGuard
+
+    starts = []
+    start = BudgetGuard.start
+
+    def counting_start(self):
+        starts.append(self)
+        return start(self)
+
+    monkeypatch.setattr(BudgetGuard, "start", counting_start)
+    scenario = _desyncing_chaos_scenario().resilience(max_wall=600)
+    scenario.observe(True)
+    scenario._resilience.backoff_base_s = 0.0
+    report = scenario.run(until=RING_UNTIL)
+    assert report.metrics["run.outcome"].startswith("degraded{")
+    assert len(starts) == 1
+    assert report.metrics["phase.run_s"]["count"] == 1
+    assert report.wall_time_s == pytest.approx(
+        report.metrics["phase.run_s"]["sum"], rel=0.05
+    )
+
+
 def test_no_degrade_escalates_instead():
     scenario = _desyncing_chaos_scenario()
     scenario._resilience.degrade = False
