@@ -652,17 +652,6 @@ class Scenario:
         ]
         return self.emulation
 
-    def _export_traffic_metrics(self, report: RunReport) -> None:
-        """Fold workload-level results (``handle.metrics()``) into the
-        report under ``traffic.<entry>.<key>``. Only meaningful after
-        the clock ran in *this* process, so the multiprocess parent —
-        whose emulation never runs — skips it."""
-        for handle in self.traffic_handles:
-            metrics = getattr(handle, "metrics", None)
-            if callable(metrics):
-                for key, value in metrics().items():
-                    report.metrics[f"traffic.{key}"] = value
-
     def run(self, until: Optional[float] = None) -> RunReport:
         """Build (if needed), run the clock to ``until`` virtual
         seconds, and return the :class:`RunReport`.
@@ -708,9 +697,6 @@ class Scenario:
             )
             for domain in self._domains():
                 domain.enable_digest()
-        # Plain runs, and supervised ones with nothing to check, install
-        # no barrier hook at all.
-        hook = barrier if barrier is not None and barrier.observing else None
         result = abort = degraded = None
         counters: dict = {}
         t0 = perf_counter()
@@ -730,7 +716,10 @@ class Scenario:
                             policy=res.retry_policy(self._seed),
                             epoch_timeout_s=res.epoch_timeout_s,
                             heartbeat_interval_s=res.heartbeat_interval_s,
-                            barrier=hook,
+                            # Even an idle barrier keeps a supervised
+                            # run off the single-worker fast path, so
+                            # the epoch timeout bounds one epoch.
+                            barrier=barrier,
                             chaos_kill=res.chaos_kill,
                             chaos_signal=res.chaos_signal,
                         )
@@ -744,9 +733,9 @@ class Scenario:
                             f"after {escalation.attempts} attempt(s)"
                         )
                         counters = getattr(escalation, "counters", counters)
-                        self._run_local(until, hook)
+                        self._run_local(until, barrier)
                 else:
-                    self._run_local(until, hook)
+                    self._run_local(until, barrier)
         except BudgetExceeded as exc:
             abort = exc
         wall = perf_counter() - t0
@@ -758,7 +747,13 @@ class Scenario:
         )
         self.report = report
         if result is None:
-            self._export_traffic_metrics(report)
+            # Workload-level results (``handle.metrics()``), only
+            # meaningful when the clock ran in *this* process.
+            for handle in self.traffic_handles:
+                metrics = getattr(handle, "metrics", None)
+                if callable(metrics):
+                    for key, value in metrics().items():
+                        report.metrics[f"traffic.{key}"] = value
         else:
             # Worker-resident state the parent cannot patch (TCP
             # stacks, edge CPUs) arrives as a metric overlay.
@@ -823,16 +818,16 @@ class Scenario:
     def _run_local(self, until: float, barrier) -> None:
         """Run the in-process engine to ``until``, calling ``barrier``
         (a :class:`~repro.resilience.RunBarrier`, or None) at every
-        barrier.
+        barrier it observes.
 
         A partitioned simulator reports its epoch barriers through
         ``sim.on_epoch``. One domain is a 1-domain barrier sequence
         chunked at virtual-time marks, which is stream-identical to a
-        single run (the heap and seq counter are untouched). Without a
-        barrier this is one ``sim.run(until)``.
+        single run (the heap and seq counter are untouched). When
+        nothing observes the barriers this is one ``sim.run(until)``.
         """
         sim = self.sim
-        if barrier is None:
+        if barrier is None or not barrier.observing:
             sim.run(until=until)
             return
         emulation = self.emulation
@@ -862,17 +857,17 @@ class Scenario:
         # at t=0 like the writer's, plus the resume barrier.
         writer, verifier = barrier.writer, barrier.verifier
         step = writer.every_s if writer is not None else until / 16.0
-        marks = {until}
         mark = step
-        while mark < until:
-            marks.add(mark)
-            mark += step
-        if verifier is not None and not verifier.verified:
-            marks.add(min(verifier.checkpoint.barrier_time, until))
-        for mark in sorted(marks):
-            if mark > sim.now:
-                sim.run(until=mark)
-                at_barrier(None, sim.now)
+        while sim.now < until:
+            target = min(mark, until)
+            if verifier is not None and not verifier.verified:
+                resume_at = verifier.checkpoint.barrier_time
+                if sim.now < resume_at < target:
+                    target = resume_at
+            sim.run(until=target)
+            at_barrier(None, sim.now)
+            while mark <= sim.now:
+                mark += step
 
     # -- spec round trip (multiprocess workers) ---------------------------
 

@@ -170,11 +170,14 @@ class CheckpointWriter:
         events: int,
         digest: str,
         epoch: Optional[int] = None,
-        **fields,
+        domain_digests: Optional[Dict[int, str]] = None,
+        domain_counts: Optional[Dict[int, int]] = None,
+        snapshots: Optional[List[dict]] = None,
+        rng_states: Optional[Dict[str, tuple]] = None,
+        metrics: Optional[Dict[str, Any]] = None,
+        fault_cursor: Optional[int] = None,
+        link_state: Optional[Dict[Any, tuple]] = None,
     ) -> Checkpoint:
-        """Write the checkpoint of one barrier; ``fields`` are the
-        optional :class:`Checkpoint` fields (per-domain maps,
-        in-process state, ``metrics``)."""
         checkpoint = Checkpoint(
             spec=self.spec,
             until=self.until,
@@ -183,8 +186,14 @@ class CheckpointWriter:
             epoch=epoch,
             events=events,
             digest=digest,
+            domain_digests=domain_digests,
+            domain_counts=domain_counts,
+            snapshots=snapshots,
+            rng_states=rng_states,
+            metrics=dict(metrics or {}),
             index=self.written,
-            **fields,
+            fault_cursor=fault_cursor,
+            link_state=link_state,
         )
         write_checkpoint(self.path, checkpoint)
         self.written += 1
@@ -287,7 +296,7 @@ class RunBarrier:
         self.writer = writer
         self.verifier = verifier
         #: False when no barrier needs visiting at all (no budget, no
-        #: checkpoints, no resume): executors then install no hook.
+        #: checkpoints, no resume): a local run then installs no hook.
         self.observing = (
             budget.active or writer is not None or verifier is not None
         )

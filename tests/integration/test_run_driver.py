@@ -79,3 +79,15 @@ def test_plain_and_supervised_runs_agree(backend):
             report.metrics["run.events"]
             == plain_report.metrics["sim.events_dispatched"]
         )
+
+
+def test_supervised_single_worker_run_outlasts_its_epoch_timeout():
+    """The epoch timeout bounds one epoch, not the run: a supervised
+    one-worker run longer than the timeout stays on the per-epoch loop
+    and completes without a retry or a downgrade."""
+    scenario = _scenario("multiprocess-1worker").resilience(epoch_timeout=0.3)
+    report = scenario.run(until=2.0)
+    assert report.metrics["run.outcome"] == "completed"
+    assert report.metrics["resilience.retries"] == 0
+    assert report.metrics["resilience.downgrades"] == 0
+    assert scenario.mp_result.workers == 1
