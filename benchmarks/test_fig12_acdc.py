@@ -23,13 +23,9 @@ import pytest
 
 from benchmarks.conftest import full_scale
 from repro.apps import AcdcOverlay
-from repro.core import (
-    EmulationConfig,
-    ExperimentPipeline,
-    FaultInjector,
-    LinkPerturbation,
-)
+from repro.core import EmulationConfig, ExperimentPipeline, FaultApplier
 from repro.engine import Simulator
+from repro.faults import FaultPlan, Perturbation
 from repro.topology import LinkKind, TransitStubSpec, transit_stub_topology
 from repro.topology.annotate import LinkClassParams
 
@@ -87,12 +83,11 @@ def run_experiment():
     # delay sits close below it — that's what makes the goal hard.
     overlay.delay_target_s = overlay.spt_delay() / 0.8
 
-    injector = FaultInjector(emulation)
-    injector.start_perturbation(
-        LinkPerturbation(period_s=25.0, link_fraction=0.25, latency_scale=(1.0, 1.25)),
-        start_s=perturb_window[0],
-        stop_s=perturb_window[1],
+    perturbation = Perturbation(
+        start_s=perturb_window[0], stop_s=perturb_window[1], period_s=25.0,
+        link_fraction=0.25, latency_scale=(1.0, 1.25),
     )
+    FaultApplier(emulation, FaultPlan.of(perturbation)).install()
 
     samples = []
 

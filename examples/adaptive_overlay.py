@@ -11,13 +11,9 @@ Run:  python examples/adaptive_overlay.py
 import random
 
 from repro.apps import AcdcOverlay
-from repro.core import (
-    EmulationConfig,
-    ExperimentPipeline,
-    FaultInjector,
-    LinkPerturbation,
-)
+from repro.core import EmulationConfig, ExperimentPipeline, FaultApplier
 from repro.engine import Simulator
+from repro.faults import FaultPlan, Perturbation
 from repro.topology import TransitStubSpec, transit_stub_topology
 
 
@@ -43,12 +39,11 @@ def main() -> None:
     print(f"members: {len(members)}, delay target {overlay.delay_target_s*1e3:.0f} ms "
           f"(SPT best {overlay.spt_delay()*1e3:.0f} ms)")
 
-    injector = FaultInjector(emulation)
-    injector.start_perturbation(
-        LinkPerturbation(period_s=25.0, link_fraction=0.25, latency_scale=(1.0, 1.25)),
-        start_s=200.0,
-        stop_s=500.0,
+    perturbation = Perturbation(
+        start_s=200.0, stop_s=500.0, period_s=25.0,
+        link_fraction=0.25, latency_scale=(1.0, 1.25),
     )
+    FaultApplier(emulation, FaultPlan.of(perturbation)).install()
 
     print(f"\n{'t(s)':>6} {'cost/MST':>9} {'max delay (ms)':>15} {'switches':>9}")
 

@@ -391,7 +391,6 @@ class Scenario:
         name: str = "serial",
         domains: Optional[int] = None,
         workers: Optional[int] = None,
-        kernel: Optional[str] = None,
     ) -> "Scenario":
         """Choose the execution backend.
 
@@ -401,18 +400,12 @@ class Scenario:
         ``"multiprocess"`` runs one event domain per core (or
         ``domains``) across ``workers`` processes (0 = one per
         domain). Digests are identical across worker counts.
-
-        ``kernel`` selects each pipe's delay-line implementation
-        (``"scalar"`` or ``"batched"``); both dispatch digest-identical
-        event streams.
         """
         knobs: dict = {"backend": name}
         if domains is not None:
             knobs["num_domains"] = domains
         if workers is not None:
             knobs["workers"] = workers
-        if kernel is not None:
-            knobs["kernel"] = kernel
         return self.config(**knobs)
 
     def observe(
@@ -499,7 +492,7 @@ class Scenario:
         form). The plan travels inside the :class:`ScenarioSpec`, is
         applied by the single sanctioned applier on the owning
         kernel, and produces digest-identical event streams across
-        backends, worker counts, and kernels. Validated against the
+        backends and worker counts. Validated against the
         topology — and against the partitioned lookahead floor — at
         :meth:`build`."""
         self._check_mutable()

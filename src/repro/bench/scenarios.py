@@ -50,10 +50,10 @@ from repro.topology.generators import chain_topology, dumbbell_topology
 DEFAULT_SEED = 1
 
 
-def _dumbbell_scenario(seed: int, flows: int, kernel: Optional[str] = None):
+def _dumbbell_scenario(seed: int, flows: int):
     from repro.api import Scenario
 
-    scenario = (
+    return (
         Scenario.from_topology(dumbbell_topology(3), name="bench-dumbbell")
         .distill("hop-by-hop")
         .assign(1)
@@ -61,27 +61,21 @@ def _dumbbell_scenario(seed: int, flows: int, kernel: Optional[str] = None):
         .observe(False)
         .seed(seed)
     )
-    if kernel is not None:
-        scenario.config(kernel=kernel)
-    return scenario
 
 
 def dumbbell_netperf(
     profile: str = "short",
     seed: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> BenchResult:
     """Bulk TCP through the shared bottleneck: events/sec of the
     uninstrumented event loop (with the native streaming digest
     folded in, so the manifest records what stream was timed).
 
-    The delay-line kernel is a small share of this run: the traced
-    perfbench ``dumbbell_tcp`` run (seed 1) puts 57% of self time in
-    the engine layer (the dispatch loop plus callback code no probe
-    claims), 23% in the core tick path (scheduler collect, pipe
-    arrival, ingress, edge hops), 13% in TCP and sockets and 5% in
-    physical links (DESIGN.md §7), so kernel ratios here are
-    Amdahl-compressed toward 1."""
+    The traced perfbench ``dumbbell_tcp`` run (seed 1) puts 57% of
+    self time in the engine layer (the dispatch loop plus callback
+    code no probe claims), 23% in the core tick path (scheduler
+    collect, pipe arrival, ingress, edge hops), 13% in TCP and
+    sockets and 5% in physical links (DESIGN.md §7)."""
     seed = DEFAULT_SEED if seed is None else seed
     seconds = 30.0 if profile == "short" else 120.0
     flows = 4
@@ -91,7 +85,7 @@ def dumbbell_netperf(
         seed=seed,
         params={"seconds": seconds, "flows": flows, "clients_per_side": 3},
     )
-    scenario = _dumbbell_scenario(seed, flows, kernel)
+    scenario = _dumbbell_scenario(seed, flows)
     t0 = perf_counter()
     emulation = scenario.build()
     build_s = perf_counter() - t0
@@ -111,7 +105,6 @@ def dumbbell_netperf(
     result.extras = {
         "packets_delivered": emulation.monitor.packets_delivered,
         "pipe_departures": sum(p.departures for p in emulation.pipes.values()),
-        "kernel": emulation.config.kernel,
     }
     return result.finalize()
 
@@ -119,7 +112,6 @@ def dumbbell_netperf(
 def capacity_sweep(
     profile: str = "short",
     seed: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> BenchResult:
     """Fig. 4-style single-core capacity points: pkts/sec forwarded
     at several (hops, flows) operating points."""
@@ -127,11 +119,9 @@ def capacity_sweep(
 
     from repro.apps.netperf import TcpStream
     from repro.core import DistillationMode, EmulationConfig, ExperimentPipeline
-    from repro.core.kernel import DEFAULT_KERNEL
     from repro.engine import Simulator
     from repro.hardware.calibration import GIGABIT_EDGE_SPEC
 
-    kernel = DEFAULT_KERNEL if kernel is None else kernel
     seed = DEFAULT_SEED if seed is None else seed
     if profile == "short":
         points = [(1, 24), (1, 96), (8, 48)]
@@ -161,9 +151,7 @@ def capacity_sweep(
             .assign(1)
             .bind(10)
             .run(
-                EmulationConfig(
-                    edge_spec=GIGABIT_EDGE_SPEC, seed=seed, kernel=kernel
-                )
+                EmulationConfig(edge_spec=GIGABIT_EDGE_SPEC, seed=seed)
             )
         )
         streams = [
@@ -196,7 +184,6 @@ def capacity_sweep(
     result.digest = hashlib.sha256(
         "".join(point_digests).encode()
     ).hexdigest()
-    extras["kernel"] = kernel
     result.extras = extras
     return result.finalize()
 
@@ -204,7 +191,6 @@ def capacity_sweep(
 def sanitize_smoke(
     profile: str = "short",
     seed: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> BenchResult:
     """Double-run the dumbbell under the determinism sanitizer: times
     the instrumented dispatch path and proves digests stay identical."""
@@ -224,7 +210,7 @@ def sanitize_smoke(
     build_s = run_s = 0.0
     for _run in range(2):
         t0 = perf_counter()
-        scenario = _dumbbell_scenario(seed, flows, kernel)
+        scenario = _dumbbell_scenario(seed, flows)
         emulation = scenario.build()
         build_s += perf_counter() - t0
         sanitizer = SimSanitizer().attach(emulation.sim)
@@ -259,7 +245,6 @@ def multicore_scaling(
     backend: Optional[str] = None,
     domains: Optional[int] = None,
     workers: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> BenchResult:
     """Serial-partitioned vs multiprocess execution of a 4-core ring:
     the honest speedup (or slowdown) figure for the epoch-synchronized
@@ -302,7 +287,7 @@ def multicore_scaling(
             .netperf(flows=flows)
             .observe(False)
             .seed(seed)
-            .backend(name, domains=domains, workers=workers, kernel=kernel)
+            .backend(name, domains=domains, workers=workers)
         )
 
     result = BenchResult(
@@ -315,8 +300,6 @@ def multicore_scaling(
             "backends": list(backends), "topology": "ring8x2",
         },
     )
-    extras_kernel = kernel or "batched"
-
     build_s = 0.0
     walls: Dict[str, float] = {}
     digests: Dict[str, str] = {}
@@ -375,7 +358,6 @@ def multicore_scaling(
         extras["speedup"] = round(
             walls["serial"] / walls["multiprocess"], 3
         )
-    extras["kernel"] = extras_kernel
 
     result.wall_s = sum(walls.values())
     result.events = events

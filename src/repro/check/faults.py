@@ -15,8 +15,8 @@ changes per-process pipe state *outside* the timeline: workers that
 never execute that code path diverge from workers that do, and the
 digest contract breaks in a way the sanitizer only catches after the
 fact. Route the mutation through a :class:`~repro.faults.FaultPlan`
-(or the imperative :class:`~repro.core.faults.FaultInjector`, which
-shares the applier's primitives) instead.
+instead — random stress included (:func:`repro.faults.random_stress`
+builds one).
 
 ========  ============================================================
 FLT001    Direct fault mutation: a ``set_link_up``/``set_link_params``

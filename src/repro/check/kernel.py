@@ -1,21 +1,20 @@
-"""Batch-kernel discipline rules (KERN).
+"""Batch-departure discipline rules (KERN).
 
-The batched pipe kernel (DESIGN.md §7, :mod:`repro.core.kernel`) gets
-its throughput from one structural invariant: **per-packet departures
+The pipe delay line (DESIGN.md §7, :mod:`repro.core.kernel`) gets its
+throughput from one structural invariant: **per-packet departures
 never become heap events**. A packet descriptor entering a pipe is
-admitted into the pipe's columnar delay line
-(:meth:`~repro.core.kernel.BatchedDelayLine.admit`); the scheduler's
+admitted into the pipe's delay line
+(:meth:`~repro.core.kernel.DelayLine.admit`); the scheduler's
 heap holds one entry per *pipe* deadline, and
 :meth:`~repro.core.scheduler.PipeScheduler.collect` drains whole runs
 of due departures per pipe per tick. Code that schedules an individual
 descriptor's departure directly — a ``heapq.heappush`` of a
 descriptor-carrying entry, or a kernel ``post``/``at``/``schedule``/
 ``call_soon`` whose payload references a descriptor — reintroduces the
-one-event-per-packet regime the kernel seam exists to remove. It also
-silently bypasses the digest contract: kernel-batched departures
-dispatch no heap events, so a stray per-packet event changes the
-event stream's sequence numbering and breaks digest identity across
-kernels.
+one-event-per-packet regime the delay line exists to remove. It also
+silently bypasses the digest contract: batched departures dispatch no
+heap events, so a stray per-packet event changes the event stream's
+sequence numbering and breaks digest identity across backends.
 
 ========  ============================================================
 KERN001   Per-packet departure event: a ``heappush`` or kernel
@@ -27,7 +26,7 @@ KERN001   Per-packet departure event: a ``heappush`` or kernel
 ========  ============================================================
 
 Scope: files whose path contains an ``engine`` or ``core`` component.
-Exempt wholesale: ``core/kernel.py`` (the delay-line kernel itself)
+Exempt wholesale: ``core/kernel.py`` (the delay line itself)
 and ``engine/sync.py`` (the router legitimately ships descriptors
 across domain boundaries as routed messages, which is handoff, not
 scheduling). Suppressions: ``# repro: allow-per-packet-event``.

@@ -28,7 +28,7 @@ from repro.core.bind import Binding, bind_vns
 from repro.core.emulator import Emulation, EmulationConfig, VirtualNode
 from repro.core.phases import ExperimentPipeline
 from repro.core.crosstraffic import CrossTrafficMatrix, CrossTrafficModel
-from repro.core.faults import FaultApplier, FaultInjector, LinkPerturbation
+from repro.core.faults import FaultApplier
 from repro.core.monitor import EmulationMonitor, AccuracyReport
 from repro.core.routing_emulation import DistanceVectorRouting
 from repro.core.reassign import DynamicReassigner
@@ -55,8 +55,6 @@ __all__ = [
     "CrossTrafficMatrix",
     "CrossTrafficModel",
     "FaultApplier",
-    "FaultInjector",
-    "LinkPerturbation",
     "EmulationMonitor",
     "AccuracyReport",
     "DistanceVectorRouting",

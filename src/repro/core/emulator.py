@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.assign import Assignment, greedy_k_clusters, single_core
 from repro.core.bind import Binding, bind_vns, bind_vns_locality
-from repro.core.kernel import DEFAULT_KERNEL, KERNELS, require_kernel
 from repro.core.monitor import EmulationMonitor
 from repro.core.node import CoreNode
 from repro.core.pipe import Pipe
@@ -82,16 +81,11 @@ class EmulationConfig:
     #: Worker processes for the multiprocess backend. 0 means one per
     #: domain. Digests are worker-count invariant by construction.
     workers: int = 0
-    #: Pipe delay-line kernel (see :mod:`repro.core.kernel`):
-    #: ``"scalar"`` reference or ``"batched"`` columnar (default).
-    #: Both dispatch a digest-identical event stream.
-    kernel: str = DEFAULT_KERNEL
 
     #: Strategies understood by :func:`repro.core.bind.bind_vns`.
     BINDING_STRATEGIES = ("contiguous", "round_robin")
     ROUTING_WEIGHTS = ("latency", "hops", "cost")
     BACKENDS = ("serial", "multiprocess")
-    KERNELS = KERNELS
 
     def __post_init__(self) -> None:
         self.validate()
@@ -128,7 +122,6 @@ class EmulationConfig:
             )
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
-        require_kernel(self.kernel)
         if (self.backend == "multiprocess" or self.num_domains > 1) and (
             not self.model_physical
         ):
@@ -347,7 +340,6 @@ class Emulation:
                     link_id=link.id,
                     src_node=src,
                     dst_node=dst,
-                    kernel=self.config.kernel,
                 )
                 pipe.up = link.up
                 self.pipes[(link.id, direction)] = pipe

@@ -5,13 +5,16 @@ rate of a set of links according to a specified probability
 distribution every x seconds, and to fail/recover links and nodes
 (with instantaneous shortest-path recomputation). Random stress tests
 "identify conditions under which services will fail".
+
+Every such change is a declarative :class:`repro.faults.FaultPlan`;
+:class:`FaultApplier` is the one mechanism that applies it — link
+changes, failures and random stress
+(:func:`repro.faults.random_stress`) alike.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.emulator import Emulation
 from repro.faults import (
@@ -26,239 +29,20 @@ from repro.faults import (
 )
 
 
-@dataclass
-class LinkPerturbation:
-    """A recurring random perturbation applied to a set of links.
-
-    Every ``period_s``, a fraction ``link_fraction`` of the candidate
-    links is chosen and each has its latency scaled by a factor drawn
-    uniformly from ``latency_scale`` (and similarly for bandwidth and
-    loss, when given). Scales are relative to the link's *original*
-    parameters, so perturbations do not compound. This directly
-    models the ACDC experiment: "increase the delay on 25% of
-    randomly chosen IP links by between 0-25% every 25 seconds".
-    """
-
-    period_s: float
-    link_fraction: float = 0.25
-    latency_scale: tuple = (1.0, 1.25)
-    bandwidth_scale: Optional[tuple] = None
-    loss_add: Optional[tuple] = None
-
-
-class FaultInjector:
-    """Schedules dynamic link changes and failures on an emulation."""
-
-    def __init__(self, emulation: Emulation, rng: Optional[random.Random] = None):
-        self.emulation = emulation
-        self.rng = rng or emulation.rng.stream("faults")
-        # Per-link parameter snapshots, taken *lazily* at the first
-        # perturbation of each link. An eager snapshot at construction
-        # would clobber any deliberate ``set_link_params`` made after
-        # the injector exists when a perturbation window restores
-        # "originals".
-        self._originals: Dict[int, Tuple[float, float, float]] = {}
-        self.perturbations_applied = 0
-        self.failures_injected = 0
-        self._active: List = []
-
-    # -- one-shot events ------------------------------------------------
-
-    def fail_link_at(self, when: float, link_id: int) -> None:
-        self.emulation.sim.at(when, self._fail_link, link_id)
-
-    def recover_link_at(self, when: float, link_id: int) -> None:
-        self.emulation.sim.at(when, self._recover_link, link_id)
-
-    def fail_node_at(self, when: float, node_id: int) -> None:
-        """Fail all links incident to a topology node."""
-        self.emulation.sim.at(when, self._fail_node, node_id)
-
-    def recover_node_at(self, when: float, node_id: int) -> None:
-        self.emulation.sim.at(when, self._recover_node, node_id)
-
-    def partition_at(
-        self, when: float, link_ids: Sequence[int]
-    ) -> None:
-        """Fail a cut set of links at once (a network partition)."""
-        def apply() -> None:
-            for link_id in link_ids:
-                self._fail_link(link_id)
-        self.emulation.sim.at(when, apply)
-
-    def _fail_link(self, link_id: int) -> None:
-        self.failures_injected += 1
-        self.emulation.set_link_up(link_id, False)
-
-    def _recover_link(self, link_id: int) -> None:
-        self.emulation.set_link_up(link_id, True)
-
-    def _fail_node(self, node_id: int) -> None:
-        for link in self.emulation.topology.links_of(node_id):
-            self._fail_link(link.id)
-
-    def _recover_node(self, node_id: int) -> None:
-        for link in self.emulation.topology.links_of(node_id):
-            self._recover_link(link.id)
-
-    # -- recurring perturbations -------------------------------------------
-
-    def start_perturbation(
-        self,
-        perturbation: LinkPerturbation,
-        start_s: float,
-        stop_s: float,
-        link_ids: Optional[Sequence[int]] = None,
-        on_applied: Optional[Callable[[List[int]], None]] = None,
-    ) -> None:
-        """Apply ``perturbation`` every period within [start, stop);
-        at ``stop_s`` all affected links revert to their original
-        parameters."""
-        if link_ids is None:
-            link_ids = sorted(self.emulation.topology.links)
-        link_ids = list(link_ids)
-
-        def fire(when: float) -> None:
-            if when >= stop_s:
-                self._restore(link_ids)
-                return
-            self._apply_once(perturbation, link_ids, on_applied)
-            self.emulation.sim.at(when + perturbation.period_s, fire, when + perturbation.period_s)
-
-        self.emulation.sim.at(start_s, fire, start_s)
-
-    def _apply_once(
-        self,
-        perturbation: LinkPerturbation,
-        link_ids: Sequence[int],
-        on_applied: Optional[Callable[[List[int]], None]],
-    ) -> None:
-        count = max(1, int(round(perturbation.link_fraction * len(link_ids))))
-        chosen = self.rng.sample(list(link_ids), min(count, len(link_ids)))
-        for link_id in chosen:
-            base_bw, base_lat, base_loss = self._original_of(link_id)
-            params = {}
-            low, high = perturbation.latency_scale
-            params["latency_s"] = base_lat * self.rng.uniform(low, high)
-            if perturbation.bandwidth_scale is not None:
-                low, high = perturbation.bandwidth_scale
-                params["bandwidth_bps"] = max(
-                    1.0, base_bw * self.rng.uniform(low, high)
-                )
-            if perturbation.loss_add is not None:
-                low, high = perturbation.loss_add
-                params["loss_rate"] = min(
-                    0.99, base_loss + self.rng.uniform(low, high)
-                )
-            self._set_link(link_id, params)
-        self.perturbations_applied += 1
-        if on_applied:
-            on_applied(sorted(chosen))
-
-    def _original_of(self, link_id: int) -> Tuple[float, float, float]:
-        """The link's parameters as of its first perturbation.
-
-        Read from the live pipe, not the topology link: a deliberate
-        ``Emulation.set_link_params`` only touches the pipes, and the
-        snapshot must honor it."""
-        snapshot = self._originals.get(link_id)
-        if snapshot is None:
-            pipe = self.emulation.pipes_of_link(link_id)[0]
-            snapshot = (pipe.bandwidth_bps, pipe.latency_s, pipe.loss_rate)
-            self._originals[link_id] = snapshot
-        return snapshot
-
-    def _set_link(self, link_id: int, params: dict) -> None:
-        """Update both the emulated pipes and the topology link (so
-        latency-weighted routing and offline metrics see the change)."""
-        self.emulation.set_link_params(link_id, **params)
-        link = self.emulation.topology.links[link_id]
-        if "latency_s" in params:
-            link.latency_s = params["latency_s"]
-        if "bandwidth_bps" in params:
-            link.bandwidth_bps = params["bandwidth_bps"]
-        if "loss_rate" in params:
-            link.loss_rate = params["loss_rate"]
-
-    # -- random stress tests -------------------------------------------------
-
-    def random_stress(
-        self,
-        start_s: float,
-        stop_s: float,
-        mean_failure_interval_s: float = 10.0,
-        mean_outage_s: float = 3.0,
-        perturbation: Optional[LinkPerturbation] = None,
-        protect: Optional[Sequence[int]] = None,
-    ) -> int:
-        """Schedule a randomized stress scenario (paper Sec. 4.3:
-        "random stress tests are useful because it is often just as
-        important to identify conditions under which services will
-        fail").
-
-        Random links fail at exponential intervals and recover after
-        exponential outages; a recurring parameter perturbation can
-        run alongside. ``protect`` lists link ids never failed (e.g.
-        a service's only access link). Returns the number of outages
-        scheduled; the schedule is deterministic given the injector's
-        RNG.
-        """
-        candidates = [
-            link_id
-            for link_id in sorted(self.emulation.topology.links)
-            if not protect or link_id not in set(protect)
-        ]
-        if not candidates:
-            raise ValueError("no links eligible for stress")
-        outages = 0
-        now = start_s
-        while True:
-            now += self.rng.expovariate(1.0 / mean_failure_interval_s)
-            if now >= stop_s:
-                break
-            link_id = self.rng.choice(candidates)
-            outage = self.rng.expovariate(1.0 / mean_outage_s)
-            self.fail_link_at(now, link_id)
-            self.recover_link_at(min(stop_s, now + outage), link_id)
-            outages += 1
-        if perturbation is not None:
-            self.start_perturbation(perturbation, start_s, stop_s)
-        return outages
-
-    def _restore(self, link_ids: Sequence[int]) -> None:
-        for link_id in link_ids:
-            snapshot = self._originals.get(link_id)
-            if snapshot is None:
-                # Never perturbed: nothing to revert (and restoring a
-                # construction-time snapshot here is exactly the bug
-                # that clobbered deliberate post-construction
-                # set_link_params calls).
-                continue
-            base_bw, base_lat, base_loss = snapshot
-            self._set_link(
-                link_id,
-                {
-                    "bandwidth_bps": base_bw,
-                    "latency_s": base_lat,
-                    "loss_rate": base_loss,
-                },
-            )
-
-
 class FaultApplier:
     """The single sanctioned applier for a declarative
     :class:`repro.faults.FaultPlan`.
 
     On a single-domain kernel the timeline is scheduled event-by-event
-    at exact virtual times (byte-compatible with the imperative
-    :class:`FaultInjector` schedule). On a partitioned kernel —
-    serial *or* multiprocess, any worker count — application is
-    epoch-barrier aligned: the engine calls :meth:`apply_until` with
-    the epoch's minimum grant horizon before dispatching the epoch,
-    and every participant (the serial loop, and every worker process)
-    applies the same occurrences at the same barriers, keeping the
-    per-process pipe/routing state — and therefore the dispatched
-    event stream — byte-identical.
+    at exact virtual times: one-shot occurrences in timeline order,
+    recurring perturbations through a fire/reschedule closure. On a
+    partitioned kernel — serial *or* multiprocess, any worker count —
+    application is epoch-barrier aligned: the engine calls
+    :meth:`apply_until` with the epoch's minimum grant horizon before
+    dispatching the epoch, and every participant (the serial loop, and
+    every worker process) applies the same occurrences at the same
+    barriers, keeping the per-process pipe/routing state — and
+    therefore the dispatched event stream — byte-identical.
 
     All stochastic draws come from the plan's named RNG stream, in
     timeline order, so the draw sequence is backend-invariant.
@@ -268,7 +52,8 @@ class FaultApplier:
         self.emulation = emulation
         self.plan = plan
         self.rng = emulation.rng.stream(plan.stream)
-        #: Lazy per-link snapshots (see FaultInjector._original_of).
+        #: Lazy per-link snapshots, taken at each link's first
+        #: perturbation (see :meth:`_original_of`).
         self._originals: Dict[int, Tuple[float, float, float]] = {}
         self.injected = 0
         self.recovered = 0
@@ -290,8 +75,8 @@ class FaultApplier:
         """Flatten the plan into ``(time, plan_position, sub, action)``
         occurrences sorted by time (ties: plan order). Recurring
         perturbations expand with the same float accumulation as the
-        imperative fire/reschedule loop, so firing times are
-        bit-identical to the closure form."""
+        single-domain fire/reschedule closure, so firing times are
+        bit-identical on every backend."""
         occurrences: List[Tuple[float, int, int, tuple]] = []
         for position, event in enumerate(self.plan.events):
             if isinstance(event, LinkDown):
@@ -373,7 +158,7 @@ class FaultApplier:
     def _schedule_exact(self, sim) -> None:
         """Single-domain form: one kernel event per one-shot
         occurrence, and the fire/reschedule closure for recurring
-        perturbations (matching FaultInjector's schedule exactly)."""
+        perturbations."""
         scheduled: set = set()
         for when, position, _, action in self._occurrences:
             event = self.plan.events[position]
@@ -486,8 +271,13 @@ class FaultApplier:
         self._log(when, "perturbation", tuple(sorted(chosen)))
 
     def _original_of(self, link_id: int) -> Tuple[float, float, float]:
-        # Live pipe state, not the topology link (see
-        # FaultInjector._original_of).
+        """The link's parameters as of its first perturbation.
+
+        Taken lazily — an eager snapshot at install would clobber a
+        deliberate ``set_link_params`` made after it when the window
+        restores "originals" — and read from the live pipe, not the
+        topology link: ``Emulation.set_link_params`` only touches the
+        pipes, and the snapshot must honor it."""
         snapshot = self._originals.get(link_id)
         if snapshot is None:
             pipe = self.emulation.pipes_of_link(link_id)[0]

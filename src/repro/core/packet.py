@@ -16,9 +16,9 @@ Descriptors are recycled through a slot table rather than a free
 ``slot`` into a flat array, and the free list holds slot indices.
 Besides sparing the allocator on the hot path (one admission per
 packet), the dense-id shape is the groundwork for shared-memory
-descriptor pools (ROADMAP item 1) and for kernels that column-store
-descriptor ids instead of object references
-(:mod:`repro.core.kernel`).
+descriptor pools (ROADMAP item 1) and for a delay line
+(:mod:`repro.core.kernel`) that stores descriptor ids instead of
+object references.
 """
 
 from __future__ import annotations

@@ -14,10 +14,8 @@ Each pipe maintains the computation twice:
 * in *ideal* time — exact arithmetic, used for accuracy accounting
   and for packet-debt correction when enabled.
 
-The queues themselves live behind the hot-core seam
-(:mod:`repro.core.kernel`): a pipe owns a delay-line engine — scalar
-reference or batched columnar — and the arrival math here stays
-kernel-agnostic. Both kernels are digest-identical.
+The queues themselves live in the pipe's
+:class:`~repro.core.kernel.DelayLine`; the arrival math stays here.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import List
 
-from repro.core.kernel import DEFAULT_KERNEL, make_delay_line
+from repro.core.kernel import DelayLine
 from repro.core.packet import PacketDescriptor
 from repro.core.queues import DropTailQueue
 
@@ -50,7 +48,6 @@ class Pipe:
         "_free_at",
         "_ideal_free_at",
         "_line",
-        "kernel",
         "_sched_hint",
         "arrivals",
         "departures",
@@ -80,7 +77,6 @@ class Pipe:
         link_id: int = -1,
         src_node: int = -1,
         dst_node: int = -1,
-        kernel: str = DEFAULT_KERNEL,
     ):
         self.id = pipe_id
         self.link_id = link_id
@@ -98,10 +94,9 @@ class Pipe:
         self.up = True
         self._free_at = 0.0
         self._ideal_free_at = 0.0
-        #: The delay-line engine behind the hot-core seam: bandwidth
-        #: queue + delay line as columns of (descriptor, time, ideal).
-        self.kernel = kernel
-        self._line = make_delay_line(kernel)
+        #: Bandwidth queue + delay line as rows of
+        #: (descriptor, time, ideal).
+        self._line = DelayLine()
         self._sched_hint = INFINITY  # deadline the scheduler knows about
         self.arrivals = 0
         self.departures = 0
@@ -216,8 +211,8 @@ class Pipe:
 
     def service(self, now: float) -> List[PacketDescriptor]:
         """Advance pipe state to ``now``; return descriptors that have
-        fully exited (dequeued and served their latency). The kernel
-        drains the due *run* in one call (batched delivery)."""
+        fully exited (dequeued and served their latency). The delay
+        line drains the due *run* in one call (batched delivery)."""
         exits, through = self._line.service(now, self.latency_s)
         departed = len(exits)
         if departed:

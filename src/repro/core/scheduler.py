@@ -69,8 +69,8 @@ class PipeScheduler:
         deadline needs a new entry. The superseded entry goes stale
         and is discarded lazily.
         """
-        # The delay-line kernel keeps its earliest pending time
-        # current (see repro.core.kernel); one attribute read replaces
+        # The delay line keeps its earliest pending time current
+        # (see repro.core.kernel); one attribute read replaces
         # the old double queue peek. An empty pipe reads INFINITY,
         # which never beats the hint.
         deadline = pipe._line.head_deadline
@@ -129,7 +129,7 @@ class PipeScheduler:
             if deadline != pipe._sched_hint:
                 continue  # stale entry; a fresher one covers this pipe
             # One call drains the whole due run from this pipe's
-            # delay-line kernel (batched departures).
+            # delay line (batched departures).
             exits = pipe.service(cutoff)
             if exits:
                 self.hops_serviced += len(exits)
@@ -138,7 +138,7 @@ class PipeScheduler:
                     batch_hist.observe(len(exits))
             # Re-insert with the pipe's new deadline (notify() with the
             # hint freshly cleared, inlined: any finite deadline wins).
-            # service() refreshed the kernel's cached head deadline.
+            # service() refreshed the line's cached head deadline.
             deadline = pipe._line.head_deadline
             if deadline == INFINITY:
                 pipe._sched_hint = INFINITY

@@ -58,6 +58,7 @@ honestly either way (see DESIGN.md §8).
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import pickle
 import signal as _signal
@@ -281,14 +282,21 @@ def _worker_main(
 
     A daemon heartbeat thread shares the reply pipe (under a send
     lock) so the supervisor can tell a dead or stopped process from a
-    livelocked one. Every owned domain folds its native event digest,
-    and every ``done`` reply carries ``{domain: (hexdigest, count)}``,
-    which is what makes crash recovery *verifiable* — the supervisor
-    replays a respawned worker and compares these digests against the
-    pre-crash ones.
+    livelocked one; each beat carries the worker's epoch count, so a
+    long single-command run that keeps finishing epochs is told apart
+    from one that makes no progress. Every owned domain folds its
+    native event digest, and every ``done`` reply carries
+    ``{domain: (hexdigest, count)}``, which is what makes crash
+    recovery *verifiable* — the supervisor replays a respawned worker
+    and compares these digests against the pre-crash ones.
     """
+    # A forked worker inherits its parent's whole heap; freezing it
+    # keeps the worker's collections (and their pauses, which count
+    # against the epoch timeout) to the objects the worker creates.
+    gc.freeze()
     send_lock = threading.Lock()
     stop_beating = threading.Event()
+    sim = None
 
     def _send(payload) -> None:
         with send_lock:
@@ -297,7 +305,7 @@ def _worker_main(
     def _beat() -> None:
         while not stop_beating.wait(heartbeat_interval_s):
             try:
-                _send(("hb",))
+                _send(("hb", sim.epochs if sim is not None else 0))
             except (OSError, ValueError):
                 return
 
@@ -355,6 +363,20 @@ def _worker_main(
                 # serial-partitioned loop, hence byte-identical
                 # digests with zero per-epoch IPC.
                 _, run_until = command
+                if heartbeat_interval_s > 0:
+                    # The loop itself also beats: a busy main thread can
+                    # starve the heartbeat thread of the GIL for longer
+                    # than an epoch timeout.
+                    last_beat = perf_counter()  # repro: allow-wallclock
+
+                    def _progress(_epoch: int, _barrier: float) -> None:
+                        nonlocal last_beat
+                        now = perf_counter()  # repro: allow-wallclock
+                        if now - last_beat >= heartbeat_interval_s:
+                            last_beat = now
+                            _send(("hb", sim.epochs))
+
+                    sim.on_epoch = _progress
                 sim.run(until=run_until)
                 _send(
                     (

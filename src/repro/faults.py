@@ -1,14 +1,11 @@
 """Declarative fault timelines (paper Sec. 4.3, spec-portable form).
 
-The imperative :class:`repro.core.faults.FaultInjector` schedules
-closures directly on a kernel, so its scenarios cannot cross the
-``ScenarioSpec`` pickle boundary: they silently vanish on the
-multiprocess backend and cannot be checkpointed or swept. This module
-is the declarative replacement — a :class:`FaultPlan` is a frozen,
-picklable timeline of typed events that travels *inside* the spec,
-is applied by the single sanctioned :class:`repro.core.faults.FaultApplier`,
-and produces digest-identical event streams across backends, worker
-counts, and kernels.
+A :class:`FaultPlan` is a frozen, picklable timeline of typed events
+that travels *inside* the ``ScenarioSpec`` (so it reaches multiprocess
+workers, checkpoints and sweeps), is applied by the single sanctioned
+:class:`repro.core.faults.FaultApplier`, and produces digest-identical
+event streams across backends and worker counts. Random stress tests
+are plans too: :func:`random_stress` draws one from a seeded RNG.
 
 Timeline semantics
 ------------------
@@ -32,8 +29,9 @@ Timeline semantics
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 
 class FaultPlanError(ValueError):
@@ -109,8 +107,7 @@ class Partition:
 
 @dataclass(frozen=True)
 class Perturbation:
-    """A recurring random perturbation window, subsuming the
-    imperative ``LinkPerturbation``.
+    """A recurring random perturbation window.
 
     Every ``period_s`` within ``[start_s, stop_s)`` a fraction
     ``link_fraction`` of the candidate links is drawn from the plan's
@@ -357,3 +354,44 @@ class FaultPlan:
                     explicit = minimums.get(link_id, base)
                     fold(link_id, min(base, explicit) * low)
         return minimums
+
+
+def random_stress(
+    rng: random.Random,
+    link_ids: Iterable[int],
+    start_s: float,
+    stop_s: float,
+    mean_failure_interval_s: float = 10.0,
+    mean_outage_s: float = 3.0,
+    perturbation: Optional[Perturbation] = None,
+    protect: Iterable[int] = (),
+) -> FaultPlan:
+    """A randomized stress timeline (paper Sec. 4.3: "random stress
+    tests are useful because it is often just as important to
+    identify conditions under which services will fail").
+
+    Random links among ``link_ids`` fail at exponential intervals
+    within ``[start_s, stop_s)`` and recover after exponential
+    outages (clamped to ``stop_s``): one ``LinkDown``/``LinkUp`` pair
+    per outage. ``perturbation``, when given, rides along as the
+    plan's last event. ``protect`` lists link ids never failed (e.g.
+    a service's only access link). The plan is a pure function of
+    ``rng``'s state and the arguments.
+    """
+    protected = set(protect)
+    candidates = [link_id for link_id in sorted(link_ids) if link_id not in protected]
+    if not candidates:
+        raise FaultPlanError("no links eligible for stress")
+    events: list = []
+    now = start_s
+    while True:
+        now += rng.expovariate(1.0 / mean_failure_interval_s)
+        if now >= stop_s:
+            break
+        link_id = rng.choice(candidates)
+        outage = rng.expovariate(1.0 / mean_outage_s)
+        events.append(LinkDown(now, link_id))
+        events.append(LinkUp(min(stop_s, now + outage), link_id))
+    if perturbation is not None:
+        events.append(perturbation)
+    return FaultPlan.of(*events)

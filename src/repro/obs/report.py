@@ -51,10 +51,6 @@ def collect_metrics(emulation, registry: MetricsRegistry) -> MetricsRegistry:
     sim = emulation.sim
     registry.gauge("sim.virtual_time_s").set(sim.now)
     registry.gauge("sim.events_dispatched").set(sim.events_dispatched)
-    kernel = emulation.config.kernel
-    registry.gauge("sim.events_dispatched", kernel=kernel).set(
-        sim.events_dispatched
-    )
     registry.gauge("sim.events_pending").set(sim.pending)
 
     # -- partitioned engine (backend, domains, epoch barrier) -----------

@@ -235,6 +235,9 @@ class WorkerSupervisor:
         route, nothing to synchronize against). The epoch history
         stays empty, so crash recovery degenerates correctly: replay
         is a no-op and the whole deterministic run is re-issued.
+        The wait is bounded per finished epoch, not for the whole run
+        (see :meth:`_recv`): a long healthy run completes, while a
+        wedged or livelocked worker still raises :class:`WorkerHang`.
         Returns the worker's ``("done", next_times, (epochs,
         messages_routed), digests)`` reply.
         """
@@ -357,13 +360,25 @@ class WorkerSupervisor:
         deadline with the process still alive is a hang (the message
         records whether heartbeats kept arriving — livelock — or the
         process went completely silent — wedged/stopped).
+
+        Heartbeats carry the worker's epoch count. A beat whose count
+        exceeds every count seen so far in this wait (starting from 0,
+        so the first beat of a run already counts) restarts the
+        deadline, so the timeout bounds one epoch: a ``("run", until)``
+        command that keeps finishing epochs is waited out, while a
+        worker that beats without finishing one (livelock) still hangs.
+        A worker serving per-epoch commands never advances the count.
         """
         timeout_s = self.epoch_timeout_s if timeout_s is None else timeout_s
         deadline = time.monotonic() + timeout_s
         beats = 0
+        epochs = 0
         while True:
             remaining = deadline - time.monotonic()
-            if remaining <= 0:
+            # Only an empty pipe past the deadline is a hang: queued
+            # replies are read first, so a stall on this side (a long GC
+            # pause) cannot hide beats that report progress.
+            if remaining <= 0 and not handle.conn.poll(0):
                 self._check_alive(handle)
                 liveness = (
                     f"{beats} heartbeat(s) received while waiting "
@@ -379,7 +394,7 @@ class WorkerSupervisor:
                         f"no reply within {timeout_s:g}s; {liveness}"
                     ),
                 )
-            window = min(self.heartbeat_interval_s, remaining)
+            window = min(self.heartbeat_interval_s, max(remaining, 0.0))
             try:
                 if not handle.conn.poll(window):
                     self.heartbeats_missed += 1
@@ -396,6 +411,9 @@ class WorkerSupervisor:
             tag = reply[0]
             if tag == "hb":
                 beats += 1
+                if len(reply) > 1 and reply[1] > epochs:
+                    deadline = time.monotonic() + timeout_s
+                    epochs = reply[1]
                 continue
             if tag == "error":
                 info = reply[1] if isinstance(reply[1], dict) else {}

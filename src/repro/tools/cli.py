@@ -35,7 +35,6 @@ from typing import List, Optional
 
 from repro.api import DISTILL_MODES
 from repro.core.distill import DistillationMode, distill
-from repro.core.kernel import KERNELS
 from repro.engine.randomness import RngRegistry
 from repro.faults import FaultPlanError
 from repro.routing import CachedRouting, route_latency
@@ -237,7 +236,6 @@ def _cmd_run(args) -> int:
                 args.backend,
                 domains=args.domains,
                 workers=args.workers,
-                kernel=args.kernel,
             )
         )
     if getattr(args, "fault_plan", None):
@@ -451,7 +449,6 @@ def _cmd_sanitize(args) -> int:
                 args.backend,
                 domains=args.domains,
                 workers=args.workers,
-                kernel=args.kernel,
             )
         )
         if args.inject_fault:
@@ -556,7 +553,6 @@ def _cmd_bench(args) -> int:
                 backend=args.backend,
                 domains=args.domains,
                 workers=args.workers,
-                kernel=args.kernel,
             )
         except ValueError as error:
             print(f"error: {error}", file=sys.stderr)
@@ -688,11 +684,6 @@ def _add_backend_flags(parser, default_backend="serial") -> None:
         "--workers", type=int, default=None,
         help="multiprocess worker processes (default: one per domain)",
     )
-    parser.add_argument(
-        "--kernel", choices=sorted(KERNELS), default=None,
-        help="pipe delay-line kernel (default: batched); both kernels "
-        "dispatch digest-identical event streams",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -780,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="declarative fault timeline (FaultPlan JSON): link "
         "down/up, parameter timelines, node churn, partitions, "
         "recurring perturbations — applied identically on every "
-        "backend and kernel",
+        "backend",
     )
     _add_backend_flags(run)
     run.add_argument(

@@ -5,13 +5,9 @@ import random
 import pytest
 
 from repro.apps import AcdcOverlay
-from repro.core import (
-    EmulationConfig,
-    ExperimentPipeline,
-    FaultInjector,
-    LinkPerturbation,
-)
+from repro.core import EmulationConfig, ExperimentPipeline, FaultApplier
 from repro.engine import Simulator
+from repro.faults import FaultPlan, Perturbation
 from repro.topology import TransitStubSpec, transit_stub_topology
 
 
@@ -87,12 +83,11 @@ def test_delay_violation_triggers_reparenting():
     sim.run(until=60.0)
     baseline = overlay.actual_max_delay()
 
-    injector = FaultInjector(emulation)
-    injector.start_perturbation(
-        LinkPerturbation(period_s=5.0, link_fraction=0.5, latency_scale=(4.0, 6.0)),
-        start_s=60.0,
-        stop_s=120.0,
+    perturbation = Perturbation(
+        start_s=60.0, stop_s=120.0, period_s=5.0,
+        link_fraction=0.5, latency_scale=(4.0, 6.0),
     )
+    FaultApplier(emulation, FaultPlan.of(perturbation)).install()
     sim.run(until=120.0)
     during_switches = sum(m.parent_switches for m in overlay.members.values())
     sim.run(until=200.0)

@@ -1,15 +1,25 @@
 """Tests for fault injection and dynamic network changes."""
 
+import random
+
 import pytest
 
 from repro.core import (
     DistillationMode,
     EmulationConfig,
     ExperimentPipeline,
-    FaultInjector,
-    LinkPerturbation,
+    FaultApplier,
 )
 from repro.engine import Simulator
+from repro.faults import (
+    FaultPlan,
+    LinkDown,
+    LinkUp,
+    NodeChurn,
+    Partition,
+    Perturbation,
+    random_stress,
+)
 from repro.topology import Topology, NodeKind, ring_topology
 
 
@@ -35,39 +45,51 @@ def build_square():
     return sim, emulation
 
 
+def install(emulation, *events):
+    return FaultApplier(emulation, FaultPlan.of(*events)).install()
+
+
+def logged(applier, kind):
+    return [entry["links"] for entry in applier.events_log if entry["kind"] == kind]
+
+
+def stress(emulation, **kwargs):
+    """A random stress plan over every link, drawn from the
+    emulation's ``faults`` stream (the stream the applier draws
+    perturbations from)."""
+    return random_stress(
+        emulation.rng.stream("faults"), emulation.topology.links, **kwargs
+    )
+
+
 def test_scheduled_link_failure_and_recovery():
     sim, emulation = build_square()
-    injector = FaultInjector(emulation)
-    injector.fail_link_at(1.0, 0)
-    injector.recover_link_at(2.0, 0)
+    applier = install(emulation, LinkDown(1.0, 0), LinkUp(2.0, 0))
     sim.run(until=1.5)
     assert not emulation.topology.links[0].up
     assert not emulation.pipes_of_link(0)[0].up
     sim.run(until=2.5)
     assert emulation.topology.links[0].up
-    assert injector.failures_injected == 1
+    assert applier.injected == 1
 
 
 def test_node_failure_fails_incident_links():
     sim, emulation = build_square()
-    injector = FaultInjector(emulation)
-    injector.fail_node_at(1.0, 1)  # router r1
+    install(emulation, NodeChurn(1.0, 1), NodeChurn(2.0, 1, up=True))  # router r1
     sim.run(until=1.5)
     assert not emulation.topology.links[0].up
     assert not emulation.topology.links[1].up
     assert emulation.topology.links[2].up
-    injector.recover_node_at(2.0, 1)
     sim.run(until=2.5)
     assert emulation.topology.links[0].up
 
 
 def test_partition_cuts_traffic():
     sim, emulation = build_square()
-    injector = FaultInjector(emulation)
     received = []
     emulation.vn(1).udp_socket(port=9, on_receive=lambda *a: received.append(sim.now))
     sender = emulation.vn(0).udp_socket()
-    injector.partition_at(1.0, [0, 2])  # both of c0's access links
+    install(emulation, Partition(1.0, (0, 2)))  # both of c0's access links
     sim.at(0.5, sender.send_to, 1, 9, 100)
     sim.at(1.5, sender.send_to, 1, 9, 100)
     sim.run(until=3.0)
@@ -80,12 +102,10 @@ def test_node_failure_recomputes_routes_and_recovery_restores_them():
     recovering it snaps traffic back to the 1 ms path (the paper's
     instantaneous shortest-path recomputation)."""
     sim, emulation = build_square()
-    injector = FaultInjector(emulation)
     received = []
     emulation.vn(1).udp_socket(port=9, on_receive=lambda *a: received.append(sim.now))
     sender = emulation.vn(0).udp_socket()
-    injector.fail_node_at(1.0, 1)
-    injector.recover_node_at(3.0, 1)
+    install(emulation, NodeChurn(1.0, 1), NodeChurn(3.0, 1, up=True))
     sends = (0.5, 1.5, 3.5)
     for when in sends:
         sim.at(when, sender.send_to, 1, 9, 100)
@@ -102,27 +122,23 @@ def test_in_flight_packets_on_failed_links_are_dropped():
     """A failure flushes the link's pipes: packets already in flight
     are dropped, never delivered late over a dead link."""
     sim, emulation = build_square()
-    injector = FaultInjector(emulation)
     received = []
     emulation.vn(1).udp_socket(port=9, on_receive=lambda *a: received.append(sim.now))
     sender = emulation.vn(0).udp_socket()
     # In flight on the c0-r1 hop (1 ms latency) when r1 dies at t=1.0.
     sim.at(0.9995, sender.send_to, 1, 9, 100)
-    injector.fail_node_at(1.0, 1)
+    install(emulation, NodeChurn(1.0, 1))
     sim.run(until=2.0)
     assert received == []
 
 
 def test_partition_recovery_restores_connectivity():
     sim, emulation = build_square()
-    injector = FaultInjector(emulation)
     received = []
     emulation.vn(1).udp_socket(port=9, on_receive=lambda *a: received.append(sim.now))
     sender = emulation.vn(0).udp_socket()
-    cut = [0, 2]  # both of c0's access links
-    injector.partition_at(1.0, cut)
-    for link_id in cut:
-        injector.recover_link_at(2.0, link_id)
+    cut = (0, 2)  # both of c0's access links
+    install(emulation, Partition(1.0, cut, heal_s=2.0))
     sim.at(1.5, sender.send_to, 1, 9, 100)  # inside the partition: lost
     sim.at(2.5, sender.send_to, 1, 9, 100)  # after healing: delivered
     sim.run(until=4.0)
@@ -142,20 +158,21 @@ def test_perturbation_changes_latencies_within_bounds():
         .bind(1)
         .run(EmulationConfig.reference())
     )
-    injector = FaultInjector(emulation)
     originals = {
         link_id: link.latency_s
         for link_id, link in emulation.topology.links.items()
     }
-    applied_sets = []
-    injector.start_perturbation(
-        LinkPerturbation(period_s=1.0, link_fraction=0.25, latency_scale=(1.0, 1.25)),
-        start_s=1.0,
-        stop_s=4.0,
-        on_applied=applied_sets.append,
+    applier = install(
+        emulation,
+        Perturbation(
+            start_s=1.0, stop_s=4.0, period_s=1.0,
+            link_fraction=0.25, latency_scale=(1.0, 1.25),
+        ),
     )
     sim.run(until=3.5)
-    assert injector.perturbations_applied == 3
+    assert applier.perturbations_applied == 3
+    applied_sets = logged(applier, "perturbation")
+    assert len(applied_sets) == 3
     assert all(len(chosen) == round(0.25 * len(originals)) for chosen in applied_sets)
     for link_id, link in emulation.topology.links.items():
         assert originals[link_id] <= link.latency_s <= 1.25 * originals[link_id] + 1e-12
@@ -167,11 +184,12 @@ def test_perturbation_changes_latencies_within_bounds():
 
 def test_perturbation_does_not_compound():
     sim, emulation = build_square()
-    injector = FaultInjector(emulation)
-    injector.start_perturbation(
-        LinkPerturbation(period_s=0.5, link_fraction=1.0, latency_scale=(1.2, 1.2)),
-        start_s=0.0,
-        stop_s=10.0,
+    install(
+        emulation,
+        Perturbation(
+            start_s=0.0, stop_s=10.0, period_s=0.5,
+            link_fraction=1.0, latency_scale=(1.2, 1.2),
+        ),
     )
     sim.run(until=5.1)
     # After 10 rounds of x1.2 the latency is still exactly 1.2x the
@@ -181,17 +199,15 @@ def test_perturbation_does_not_compound():
 
 def test_perturbation_with_bandwidth_and_loss():
     sim, emulation = build_square()
-    injector = FaultInjector(emulation)
-    injector.start_perturbation(
-        LinkPerturbation(
-            period_s=1.0,
+    install(
+        emulation,
+        Perturbation(
+            start_s=0.0, stop_s=10.0, period_s=1.0,
             link_fraction=1.0,
             latency_scale=(1.0, 1.0),
             bandwidth_scale=(0.5, 0.5),
             loss_add=(0.1, 0.1),
         ),
-        start_s=0.0,
-        stop_s=10.0,
     )
     sim.run(until=0.5)
     link = emulation.topology.links[0]
@@ -204,31 +220,44 @@ def test_perturbation_with_bandwidth_and_loss():
 
 def test_random_stress_schedules_outages():
     sim, emulation = build_square()
-    injector = FaultInjector(emulation)
-    outages = injector.random_stress(
-        start_s=0.0, stop_s=60.0, mean_failure_interval_s=5.0,
+    plan = stress(
+        emulation, start_s=0.0, stop_s=60.0, mean_failure_interval_s=5.0,
         mean_outage_s=1.0,
     )
+    downs = [e for e in plan.events if isinstance(e, LinkDown)]
+    ups = [e for e in plan.events if isinstance(e, LinkUp)]
+    outages = len(downs)
     assert outages > 3
+    assert len(ups) == outages
+    # Each outage is a down/up pair on one link, recovering by stop_s.
+    for down, up in zip(downs, ups):
+        assert down.link_id == up.link_id
+        assert down.time_s <= up.time_s <= 60.0
+    applier = FaultApplier(emulation, plan).install()
     sim.run(until=61.0)
-    assert injector.failures_injected == outages
+    assert len(logged(applier, "link_down")) == outages
     # Everything recovered by the end.
     assert all(link.up for link in emulation.topology.links.values())
 
 
 def test_random_stress_respects_protected_links():
     sim, emulation = build_square()
-    injector = FaultInjector(emulation)
     protected = [0, 1]
-    injector.random_stress(
-        start_s=0.0, stop_s=120.0, mean_failure_interval_s=2.0,
+    plan = stress(
+        emulation, start_s=0.0, stop_s=120.0, mean_failure_interval_s=2.0,
         mean_outage_s=100.0, protect=protected,
     )
+    assert all(
+        event.link_id not in protected
+        for event in plan.events
+        if isinstance(event, LinkDown)
+    )
+    FaultApplier(emulation, plan).install()
     sim.run(until=60.0)
     for link_id in protected:
         assert emulation.topology.links[link_id].up
     with pytest.raises(ValueError):
-        injector.random_stress(0.0, 10.0, protect=[0, 1, 2, 3])
+        stress(emulation, start_s=0.0, stop_s=10.0, protect=[0, 1, 2, 3])
 
 
 def test_random_stress_with_perturbation_restores_originals():
@@ -236,21 +265,22 @@ def test_random_stress_with_perturbation_restores_originals():
     perturbed parameter (latency, bandwidth, loss) is back at its
     original value — on the topology link AND its pipes."""
     sim, emulation = build_square()
-    injector = FaultInjector(emulation)
     originals = {
         link_id: (link.bandwidth_bps, link.latency_s, link.loss_rate)
         for link_id, link in emulation.topology.links.items()
     }
-    injector.random_stress(
-        start_s=0.0, stop_s=20.0, mean_failure_interval_s=3.0,
+    plan = stress(
+        emulation, start_s=0.0, stop_s=20.0, mean_failure_interval_s=3.0,
         mean_outage_s=1.0,
-        perturbation=LinkPerturbation(
-            period_s=2.0, link_fraction=1.0,
+        perturbation=Perturbation(
+            start_s=0.0, stop_s=20.0, period_s=2.0, link_fraction=1.0,
             latency_scale=(1.1, 1.5),
             bandwidth_scale=(0.5, 0.9),
             loss_add=(0.0, 0.2),
         ),
     )
+    assert isinstance(plan.events[-1], Perturbation)
+    FaultApplier(emulation, plan).install()
     sim.run(until=10.0)
     # Mid-window the perturbation has visibly moved something.
     assert any(
@@ -271,16 +301,18 @@ def test_random_stress_with_perturbation_restores_originals():
 
 
 def test_random_stress_deterministic_given_seed():
-    counts = []
-    for _ in range(2):
-        sim, emulation = build_square()
-        import random as _random
-
-        injector = FaultInjector(emulation, rng=_random.Random(9))
-        counts.append(
-            injector.random_stress(0.0, 100.0, mean_failure_interval_s=7.0)
+    _sim, emulation = build_square()
+    plans = [
+        random_stress(
+            random.Random(9), emulation.topology.links, 0.0, 100.0,
+            mean_failure_interval_s=7.0,
         )
-    assert counts[0] == counts[1]
+        for _ in range(2)
+    ]
+    assert plans[0].events
+    assert plans[0] == plans[1]
+    # The plan is spec-portable: it survives the JSON round trip.
+    assert FaultPlan.from_json(plans[0].to_json()) == plans[0]
 
 
 def test_service_survives_random_stress():
@@ -289,11 +321,11 @@ def test_service_survives_random_stress():
     from repro.apps.netperf import TcpStream
 
     sim, emulation = build_square()
-    injector = FaultInjector(emulation)
-    injector.random_stress(
-        start_s=1.0, stop_s=30.0, mean_failure_interval_s=4.0,
+    plan = stress(
+        emulation, start_s=1.0, stop_s=30.0, mean_failure_interval_s=4.0,
         mean_outage_s=1.0, protect=[],
     )
+    FaultApplier(emulation, plan).install()
     stream = TcpStream(emulation, 0, 1)
     sim.run(until=60.0)
     assert stream.bytes_received > 1_000_000

@@ -1,14 +1,14 @@
 """Spec-portable fault timelines (DESIGN.md §12): one declarative
 FaultPlan must produce digest-identical event streams on the serial
-and multiprocess backends, at every worker count, on every pipe
-kernel, and through a checkpoint/resume — while surfacing churn as
-typed drops and metrics, never an unhandled error."""
+and multiprocess backends, at every worker count, and through a
+checkpoint/resume — while surfacing churn as typed drops and
+metrics, never an unhandled error."""
 
 import pytest
 
 from repro.api import Scenario
 from repro.check.sanitize import SimSanitizer
-from repro.core.kernel import KERNELS
+from repro.core.faults import FaultApplier
 from repro.engine.parallel import run_multiprocess
 from repro.faults import (
     FaultPlan,
@@ -38,8 +38,7 @@ def _mixed_plan():
     )
 
 
-def _ring_scenario(backend="serial", workers=None, seed=7, kernel=None,
-                   plan=None):
+def _ring_scenario(backend="serial", workers=None, seed=7, plan=None):
     return (
         Scenario(
             ring_topology(num_routers=8, vns_per_router=2), name="flt-ring"
@@ -49,7 +48,7 @@ def _ring_scenario(backend="serial", workers=None, seed=7, kernel=None,
         .seed(seed)
         .netperf(flows=8)
         .observe(False)
-        .backend(backend, domains=4, workers=workers, kernel=kernel)
+        .backend(backend, domains=4, workers=workers)
         .faults(plan if plan is not None else _mixed_plan())
     )
 
@@ -100,7 +99,7 @@ def test_validate_refuses_unknown_links_upfront():
 
 
 # ----------------------------------------------------------------------
-# Digest invariance: backends, worker counts, kernels
+# Digest invariance: backends, worker counts
 # ----------------------------------------------------------------------
 
 def test_serial_and_multiprocess_agree_at_every_worker_count():
@@ -121,10 +120,10 @@ def test_serial_and_multiprocess_agree_at_every_worker_count():
         assert counters == serial_counters
 
 
-def test_flapping_storm_is_digest_invariant_across_kernels():
+def test_flapping_storm_is_digest_invariant_across_backends():
     """Rapid down/up flaps spaced well below the ~2 ms cross-domain
     lookahead: occurrences land mid-epoch and must still apply at the
-    same barriers on every kernel."""
+    same barriers on the serial and multiprocess backends."""
     flaps = []
     when = 0.0050
     for _ in range(10):
@@ -132,14 +131,11 @@ def test_flapping_storm_is_digest_invariant_across_kernels():
         flaps.append(LinkUp(when + 0.0001, 0))
         when += 0.0002
     storm = FaultPlan.of(*flaps)
-    digests = {}
-    for kernel in KERNELS:
-        digests[kernel], _ = _digest(_ring_scenario(kernel=kernel, plan=storm))
-    assert len(set(digests.values())) == 1, digests
+    serial_digest, _ = _digest(_ring_scenario(plan=storm))
     scenario = _ring_scenario("multiprocess", workers=2, plan=storm)
     scenario.build()
     result = run_multiprocess(scenario, until=UNTIL, workers=2)
-    assert result.composed_digest == digests[KERNELS[0]]
+    assert result.composed_digest == serial_digest
     assert scenario.emulation.fault_applier.injected == 10
     assert scenario.emulation.fault_applier.recovered == 10
 
@@ -280,16 +276,14 @@ def test_multiprocess_report_carries_worker_fault_counters():
 
 
 # ----------------------------------------------------------------------
-# Imperative injector regression (lazy snapshots)
+# Lazy-snapshot regression
 # ----------------------------------------------------------------------
 
 def test_deliberate_param_change_after_injector_construction_survives():
-    """Regression: FaultInjector snapshotted every link eagerly at
-    construction, so a deliberate post-construction set_link_params
-    was clobbered by the perturbation window's restore. Snapshots are
-    now taken lazily at first perturbation."""
-    from repro.core.faults import FaultInjector, LinkPerturbation
-
+    """Regression: snapshotting every link eagerly when the applier
+    is installed would let the perturbation window's restore clobber
+    a deliberate set_link_params made after it. Snapshots are taken
+    lazily at first perturbation."""
     scenario = (
         Scenario.from_topology(dumbbell_topology(2), name="flt-dumbbell")
         .distill("hop-by-hop")
@@ -298,17 +292,13 @@ def test_deliberate_param_change_after_injector_construction_survives():
         .observe(False)
     )
     emulation = scenario.build()
-    injector = FaultInjector(emulation)
     link_id = sorted(emulation.topology.links)[0]
-    emulation.set_link_params(link_id, latency_s=0.005)  # deliberate
-    injector.start_perturbation(
-        LinkPerturbation(
-            period_s=0.002, link_fraction=1.0, latency_scale=(2.0, 2.0)
-        ),
-        start_s=0.004,
-        stop_s=0.008,
-        link_ids=[link_id],
+    perturbation = Perturbation(
+        start_s=0.004, stop_s=0.008, period_s=0.002,
+        link_fraction=1.0, latency_scale=(2.0, 2.0), link_ids=(link_id,),
     )
+    FaultApplier(emulation, FaultPlan.of(perturbation)).install()
+    emulation.set_link_params(link_id, latency_s=0.005)  # deliberate
     scenario.run(until=0.012)
     pipe, _ = emulation.pipes_of_link(link_id)
     assert pipe.latency_s == pytest.approx(0.005)

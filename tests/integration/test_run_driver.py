@@ -81,6 +81,24 @@ def test_plain_and_supervised_runs_agree(backend):
         )
 
 
+def test_plain_single_worker_run_outlasts_its_epoch_timeout():
+    """A plain one-worker run takes the single-command fast path; its
+    heartbeats report finished epochs, so a run longer than the epoch
+    timeout completes without being misread as a hang."""
+    from repro.engine.parallel import run_multiprocess
+
+    scenario = _scenario("multiprocess-1worker")
+    scenario.build()
+    result = run_multiprocess(
+        scenario, until=2.0, workers=1, epoch_timeout_s=0.3,
+        heartbeat_interval_s=0.05,
+    )
+    assert result.workers == 1
+    assert result.retries == 0
+    assert result.workers_restarted == 0
+    assert result.events_dispatched > 0
+
+
 def test_supervised_single_worker_run_outlasts_its_epoch_timeout():
     """The epoch timeout bounds one epoch, not the run: a supervised
     one-worker run longer than the timeout stays on the per-epoch loop

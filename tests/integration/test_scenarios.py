@@ -11,11 +11,12 @@ from repro.core import (
     DistillationMode,
     EmulationConfig,
     ExperimentPipeline,
-    FaultInjector,
+    FaultApplier,
 )
 from repro.core.emulator import Emulation
 from repro.core.routing_emulation import DistanceVectorRouting
 from repro.engine import Simulator
+from repro.faults import FaultPlan, LinkDown, LinkUp
 from repro.net.interpose import interpose
 from repro.topology import NodeKind, Topology, ring_topology
 
@@ -44,14 +45,12 @@ def test_tcp_survives_link_failover():
         .create(topology)
         .run(EmulationConfig.reference())
     )
-    injector = FaultInjector(emulation)
-    done = []
     emulation.vn(1).tcp_listen(80, lambda c: None)
     conn = emulation.vn(0).tcp_connect(
         1, 80, on_established=lambda c: c.send(8_000_000, message="eof")
     )
-    injector.fail_link_at(1.0, 0)  # fast path down mid-transfer
-    injector.recover_link_at(4.0, 0)
+    # Fast path down mid-transfer, back up at t=4.
+    FaultApplier(emulation, FaultPlan.of(LinkDown(1.0, 0), LinkUp(4.0, 0))).install()
     sim.run(until=30.0)
     assert conn.bytes_acked == 8_000_000
     # The dying link dropped its queue: TCP saw real loss (recovered
@@ -92,15 +91,15 @@ def test_cross_traffic_and_faults_compose():
     matrix = CrossTrafficMatrix()
     matrix.set_demand(0, 9, 1e6)
     model.schedule_profile([(1.0, matrix), (3.0, None)])
-    injector = FaultInjector(emulation)
     ring_link = next(
         l.id
         for l in topology.links.values()
         if topology.node(l.a).kind is NodeKind.STUB
         and topology.node(l.b).kind is NodeKind.STUB
     )
-    injector.fail_link_at(2.0, ring_link)
-    injector.recover_link_at(4.0, ring_link)
+    FaultApplier(
+        emulation, FaultPlan.of(LinkDown(2.0, ring_link), LinkUp(4.0, ring_link))
+    ).install()
 
     stream = TcpStream(emulation, 0, 9)
     sim.run(until=8.0)

@@ -7,6 +7,8 @@ recovery paths over real multiprocess workers live in
 ``test_scenario_resilience.py``.
 """
 
+import time
+
 import pytest
 
 from repro.resilience import (
@@ -134,6 +136,73 @@ def test_heartbeats_are_swallowed_before_the_real_reply():
     handle = supervisor.workers[0]
     handle.conn, handle.proc = conn, FakeProc(alive=True)
     assert supervisor._recv(handle)[0] == "done"
+
+
+class PacedConn(FakeConn):
+    """Scripted pipe end whose replies arrive one per ``pace_s``, on a
+    fixed schedule however fast they are read."""
+
+    def __init__(self, replies, pace_s):
+        super().__init__(replies)
+        self.pace_s = pace_s
+        self.next_at = time.monotonic() + pace_s
+
+    def poll(self, timeout=None):
+        wait = self.next_at - time.monotonic()
+        if not self.replies or wait > timeout:
+            time.sleep(timeout)
+            return False
+        time.sleep(max(wait, 0.0))
+        return True
+
+    def recv(self):
+        self.next_at += self.pace_s
+        return super().recv()
+
+
+def test_whole_run_outlasts_the_timeout_while_epochs_advance():
+    """``run_all`` waits for a whole run; beats that report finished
+    epochs restart the deadline, so a run three times longer than the
+    epoch timeout completes."""
+    beats = [("hb", epochs) for epochs in range(1, 21)]
+    conn = PacedConn(beats + [("done", {0: 1.0}, (20, 0), {})], pace_s=0.03)
+    supervisor = make_supervisor(lambda i: (conn, FakeProc()))
+    handle = supervisor.workers[0]
+    handle.conn, handle.proc = conn, FakeProc(alive=True)
+    started = time.monotonic()
+    assert supervisor.run_all(1.0)[2] == (20, 0)
+    assert time.monotonic() - started > 3 * supervisor.epoch_timeout_s
+    assert supervisor.retries == 0
+
+
+def test_replies_queued_during_a_stall_on_this_side_are_read_first():
+    """The parent stalls past the deadline (a long GC pause) while the
+    worker's progress beats and its reply queue up: they are read
+    before a hang is declared."""
+
+    class StallingConn(FakeConn):
+        def recv(self):
+            reply = super().recv()
+            if reply == ("hb", 1):
+                time.sleep(0.3)
+            return reply
+
+    conn = StallingConn([("hb", 1), ("hb", 2), ("done", {0: 1.0}, (2, 0), {})])
+    supervisor = make_supervisor(lambda i: (conn, FakeProc()))
+    handle = supervisor.workers[0]
+    handle.conn, handle.proc = conn, FakeProc(alive=True)
+    assert supervisor.run_all(1.0)[2] == (2, 0)
+    assert supervisor.retries == 0
+
+
+def test_beats_without_epoch_progress_are_a_livelock_hang():
+    conn = PacedConn([("hb", 3)] * 40, pace_s=0.03)
+    supervisor = make_supervisor(lambda i: (conn, FakeProc()))
+    handle = supervisor.workers[0]
+    handle.conn, handle.proc = conn, FakeProc(alive=True)
+    with pytest.raises(WorkerHang, match="livelock"):
+        supervisor._recv(handle)
+    assert conn.replies  # gave up long before the beats ran out
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.emulator import EmulationConfig
 from repro.tools import main
 from repro.topology import load_gml
 
@@ -105,17 +104,6 @@ def test_import_bgp(tmp_path):
     out = tmp_path / "imported.gml"
     assert main(["import", str(source), "--format", "bgp", "-o", str(out)]) == 0
     assert load_gml(str(out)).num_links == 3
-
-
-def test_numpy_kernel_is_rejected_with_valid_names(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["run", "net.gml", "--kernel", "numpy"])
-    assert excinfo.value.code == 2
-    err = capsys.readouterr().err
-    assert "invalid choice: 'numpy'" in err
-    assert "'batched'" in err and "'scalar'" in err
-    with pytest.raises(ValueError, match="valid kernels: scalar, batched"):
-        EmulationConfig(kernel="numpy")
 
 
 def test_run_writes_run_report(tmp_path, capsys):
