@@ -11,8 +11,9 @@ consecutive pipes on a route share a core.
 
 from __future__ import annotations
 
+import heapq
 import random
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 from repro.topology.graph import Link, Topology, TopologyError
 
@@ -105,7 +106,23 @@ def greedy_k_clusters(
     num_cores: int,
     rng: random.Random,
 ) -> Assignment:
-    """The paper's greedy k-clusters heuristic."""
+    """The paper's greedy k-clusters heuristic.
+
+    Seeds ``num_cores`` clusters on distinct random nodes, then, round
+    robin, gives each cluster the first unassigned link of its
+    lowest-id member node that still has one (links in
+    :meth:`Topology.links_of` order). A cluster whose component is
+    exhausted re-seeds on the lowest-id unassigned link, so every
+    cluster still takes one link per round.
+
+    Each cluster walks a frontier instead of rescanning its members:
+    a min-heap of its member ids (pushed as links join the cluster),
+    plus one shared per-node cursor into that node's link list. Links
+    never return to unassigned, so an exhausted node is popped for
+    good and a cursor only moves forward. The whole pass costs
+    O((nodes + links) log links) and calls ``links_of`` at most once
+    per node.
+    """
     if num_cores < 1:
         raise TopologyError("need at least one core")
     if num_cores == 1:
@@ -115,33 +132,52 @@ def greedy_k_clusters(
         raise TopologyError(
             f"{num_cores} cores but only {len(node_ids)} topology nodes"
         )
+    if len(topology.links) < num_cores:
+        raise TopologyError(
+            f"{num_cores} cores but only {len(topology.links)} topology "
+            f"links; every core needs at least one link"
+        )
     seeds = rng.sample(node_ids, num_cores)
-    cluster_nodes: List[Set[int]] = [{seed} for seed in seeds]
+    frontiers: List[List[int]] = [[seed] for seed in seeds]
     link_to_core: Dict[int, int] = {}
-    unassigned: Set[int] = set(topology.links)
+    #: Per node: its links, and the index of the first one that may
+    #: still be unassigned (shared by every cluster holding the node).
+    adjacency: Dict[int, List[Link]] = {}
+    cursor: Dict[int, int] = {}
+    by_id = sorted(topology.links)
+    reseed_at = 0
 
-    def adjacent_unassigned(cluster: Set[int]) -> Optional[Link]:
-        # Deterministic scan order for reproducibility.
-        for node_id in sorted(cluster):
-            for link in topology.links_of(node_id):
-                if link.id in unassigned:
-                    return link
-        return None
+    def next_unassigned(node_id: int) -> Optional[Link]:
+        links = adjacency.get(node_id)
+        if links is None:
+            links = adjacency[node_id] = topology.links_of(node_id)
+        index = cursor.get(node_id, 0)
+        while index < len(links) and links[index].id in link_to_core:
+            index += 1
+        cursor[node_id] = index
+        return links[index] if index < len(links) else None
 
-    while unassigned:
+    while len(link_to_core) < len(by_id):
         for core_index in range(num_cores):
-            if not unassigned:
+            if len(link_to_core) == len(by_id):
                 break
-            link = adjacent_unassigned(cluster_nodes[core_index])
+            frontier = frontiers[core_index]
+            link = None
+            while frontier:
+                link = next_unassigned(frontier[0])
+                if link is not None:
+                    break
+                heapq.heappop(frontier)
             if link is None:
                 # This cluster's component is exhausted: re-seed it on
                 # a fresh link so every cluster still takes one link
                 # per round (keeps emulation load balanced).
-                link = topology.links[min(unassigned)]
+                while by_id[reseed_at] in link_to_core:
+                    reseed_at += 1
+                link = topology.links[by_id[reseed_at]]
             link_to_core[link.id] = core_index
-            unassigned.discard(link.id)
-            cluster_nodes[core_index].add(link.a)
-            cluster_nodes[core_index].add(link.b)
+            heapq.heappush(frontier, link.a)
+            heapq.heappush(frontier, link.b)
     return Assignment(num_cores, link_to_core, topology=topology)
 
 

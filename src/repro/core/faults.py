@@ -288,6 +288,7 @@ class FaultApplier:
     def _set_link(self, link_id: int, params: dict) -> None:
         self.emulation.set_link_params(link_id, **params)
         link = self.emulation.topology.links[link_id]
+        self.emulation.routing.link_changing(link)
         if "latency_s" in params:
             link.latency_s = params["latency_s"]
         if "bandwidth_bps" in params:

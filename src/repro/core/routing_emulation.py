@@ -25,7 +25,7 @@ The module plugs in as the emulation's routing service.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.engine.simulator import Simulator
 from repro.routing.shortest_path import Hop, Route
@@ -232,7 +232,7 @@ class DistanceVectorRouting(RoutingService):
                 return None
         return tuple(hops)
 
-    def invalidate(self) -> None:
+    def invalidate(self, links: Optional[Iterable[Link]] = None) -> None:
         """No-op: the protocol's own dynamics govern table state."""
 
     # ------------------------------------------------------------------

@@ -260,6 +260,8 @@ def _collect_worker_stats(emulation, sim, owned: Sequence[int]) -> dict:
             "error_samples": list(monitor.error_samples),
         },
         "digests": _domain_digests(sim, owned),
+        # Each worker routes its own lookups: the run's work is the sum.
+        "routing": emulation.routing.stats(),
         # Every worker applies the whole fault timeline identically;
         # the parent adopts the view of the worker owning domain 0.
         "faults": (
@@ -662,6 +664,7 @@ def _merge_stats(scenario, stats: List[dict], until, result) -> None:
     edge_cpu_busy = 0.0
     edge_switches = 0
     tcp_totals: Dict[str, int] = {}
+    routing_totals: Dict[str, int] = {}
     samples: List[Tuple[int, List[float]]] = []
     for worker_stats in stats:
         for d, (dispatched, now) in worker_stats["domains"].items():
@@ -695,6 +698,8 @@ def _merge_stats(scenario, stats: List[dict], until, result) -> None:
         edge_switches += switches
         for key, value in worker_stats["tcp"].items():
             tcp_totals[key] = tcp_totals.get(key, 0) + value
+        for key, value in worker_stats["routing"].items():
+            routing_totals[key] = routing_totals.get(key, 0) + value
         m = worker_stats["monitor"]
         monitor.packets_entered += m["packets_entered"]
         monitor.packets_delivered += m["packets_delivered"]
@@ -731,6 +736,8 @@ def _merge_stats(scenario, stats: List[dict], until, result) -> None:
         sim.fast_forward(until, strict=False)
     for key, value in tcp_totals.items():
         result.metric_overlay[f"tcp.{key}"] = value
+    for key, value in routing_totals.items():
+        result.metric_overlay[f"routing.{key}"] = value
     if any(host.cpu is not None for host in emulation.hosts):
         result.metric_overlay["edge.cpu_busy_s"] = edge_cpu_busy
         result.metric_overlay["edge.context_switches"] = edge_switches

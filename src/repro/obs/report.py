@@ -4,7 +4,8 @@
 :class:`~repro.core.emulator.Emulation` and copies every ad-hoc
 statistic — scheduler wakeups/hops/heap depth, the three virtual-drop
 classes and queue occupancy per pipe, core CPU/NIC utilization, edge
-uplink drops, TCP retransmission counters, accuracy error — into a
+uplink drops, TCP retransmission counters, route-search work, accuracy
+error — into a
 :class:`~repro.obs.metrics.MetricsRegistry` under canonical names.
 
 :class:`RunReport` is the manifest those metrics ship in: the run's
@@ -172,6 +173,10 @@ def collect_metrics(emulation, registry: MetricsRegistry) -> MetricsRegistry:
             tcp_totals[key] = tcp_totals.get(key, 0) + value
     for key, value in tcp_totals.items():
         registry.gauge(f"tcp.{key}").set(value)
+
+    # -- routing: demand-cache search work ------------------------------
+    for key, value in emulation.routing.stats().items():
+        registry.gauge(f"routing.{key}").set(value)
 
     # -- fault timeline (declarative plans only) ------------------------
     applier = getattr(emulation, "fault_applier", None)

@@ -4,7 +4,9 @@ The Binding phase pre-computes shortest-path routes among all pairs of
 VNs and installs them in a routing matrix on each core node
 (:class:`PrecomputedRouting`, the paper's O(n^2) design). The paper's
 proposed alternative — a hash-based cache of routes for active flows,
-computed on demand with Dijkstra — is :class:`CachedRouting`.
+computed on demand by resumable Dijkstra searches
+(:class:`ShortestPathSearch`) that stop at the destination — is
+:class:`CachedRouting`.
 :class:`DynamicRouting` layers the "perfect routing protocol"
 assumption on top: on any link/node failure it instantaneously
 recomputes shortest paths.
@@ -14,6 +16,7 @@ from repro.routing.shortest_path import (
     Hop,
     Route,
     RouteError,
+    ShortestPathSearch,
     dijkstra,
     extract_route,
     route_latency,
@@ -33,6 +36,7 @@ __all__ = [
     "Hop",
     "Route",
     "RouteError",
+    "ShortestPathSearch",
     "dijkstra",
     "extract_route",
     "route_latency",

@@ -19,7 +19,7 @@ storage savings and the stretch.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.routing.service import RoutingService
 from repro.routing.shortest_path import (
@@ -30,7 +30,7 @@ from repro.routing.shortest_path import (
     dijkstra,
     extract_route,
 )
-from repro.topology.graph import NodeKind, Topology
+from repro.topology.graph import Link, NodeKind, Topology
 
 
 def _snip_cycles(hops: List[Hop]) -> Tuple[Hop, ...]:
@@ -127,7 +127,7 @@ class HierarchicalRouting(RoutingService):
         route = _snip_cycles(up + list(to_dst))
         return route if route else None
 
-    def invalidate(self) -> None:
+    def invalidate(self, links: Optional[Iterable[Link]] = None) -> None:
         self._trees.clear()
 
     # -- accounting (the storage trade the paper describes) --------------------

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.topology.graph import Link, Topology
 
@@ -47,12 +48,96 @@ def _weight_fn(weight: WeightSpec) -> Callable[[Link], float]:
     if callable(weight):
         return weight
     if weight == "latency":
-        return lambda link: link.latency_s
+        return attrgetter("latency_s")
     if weight == "hops":
         return lambda link: 1.0
     if weight == "cost":
-        return lambda link: link.cost
+        return attrgetter("cost")
     raise RouteError(f"unknown weight spec {weight!r}")
+
+
+_INF = float("inf")
+
+
+class ShortestPathSearch:
+    """A resumable single-source Dijkstra over up links.
+
+    Its state is ``dist``, ``prev``, the ``settled`` set and the heap.
+    :meth:`settle` pops until a given destination is settled (or the
+    heap is empty) and pauses there; a later call resumes from the
+    same state. A settled node's ``dist`` and ``prev`` never change
+    again, so a paused search answers any settled destination exactly
+    as a full run would: the pops and relaxations it has made are the
+    first ones of the full run, in the same order, ties included.
+
+    Link ``L`` has been relaxed exactly when one of its endpoints is
+    settled (the first endpoint to settle relaxes it; the second skips
+    it). :meth:`touched` is that test.
+
+    ``weigh`` is read at each relaxation, so a caller may swap it
+    between :meth:`settle` calls (see :class:`CachedRouting`'s held
+    weights).
+    """
+
+    __slots__ = ("topology", "source", "weigh", "dist", "prev", "settled", "heap")
+
+    def __init__(
+        self,
+        topology: Topology,
+        source: int,
+        weight: WeightSpec = "latency",
+    ):
+        self.topology = topology
+        self.source = source
+        self.weigh = _weight_fn(weight)
+        self.dist: Dict[int, float] = {source: 0.0}
+        self.prev: Dict[int, Hop] = {}
+        self.settled: Set[int] = set()
+        self.heap: List[Tuple[float, int]] = [(0.0, source)]
+
+    def touched(self, link: Link) -> bool:
+        """Whether this search has relaxed ``link`` (or skipped it as
+        down): one of its endpoints is settled."""
+        return link.a in self.settled or link.b in self.settled
+
+    def settle(self, dest: Optional[int] = None) -> bool:
+        """Pop until ``dest`` is settled or the heap is empty; with no
+        ``dest``, settle everything reachable. Returns whether
+        ``dest`` is settled."""
+        settled = self.settled
+        if dest in settled:
+            return True
+        incident = self.topology.incident
+        weigh = self.weigh
+        dist = self.dist
+        prev = self.prev
+        heap = self.heap
+        while heap:
+            d, node = heapq.heappop(heap)
+            if node in settled:
+                continue
+            settled.add(node)
+            for link in incident(node):
+                if not link.up:
+                    continue
+                neighbor = link.b if link.a == node else link.a
+                if neighbor in settled:
+                    continue
+                candidate = d + weigh(link)
+                if candidate < dist.get(neighbor, _INF):
+                    dist[neighbor] = candidate
+                    prev[neighbor] = Hop(link, node, neighbor)
+                    heapq.heappush(heap, (candidate, neighbor))
+            if node == dest:
+                return True
+        return False
+
+    def route_to(self, dest: int) -> Optional[Route]:
+        """Settle ``dest`` and materialize its route; None when
+        unreachable."""
+        if not self.settle(dest):
+            return None
+        return extract_route(self.prev, self.source, dest)
 
 
 def dijkstra(
@@ -60,7 +145,8 @@ def dijkstra(
     source: int,
     weight: WeightSpec = "latency",
 ) -> Tuple[Dict[int, float], Dict[int, Hop]]:
-    """Single-source shortest paths over up links.
+    """Single-source shortest paths over up links: a
+    :class:`ShortestPathSearch` run to completion.
 
     Returns ``(dist, prev)`` where ``prev[node]`` is the :class:`Hop`
     by which ``node`` is reached on its shortest path from ``source``.
@@ -68,25 +154,9 @@ def dijkstra(
     itself, present in ``dist`` with distance 0 and absent from
     ``prev``.
     """
-    weigh = _weight_fn(weight)
-    dist: Dict[int, float] = {source: 0.0}
-    prev: Dict[int, Hop] = {}
-    visited: set[int] = set()
-    heap: List[Tuple[float, int]] = [(0.0, source)]
-    while heap:
-        d, node = heapq.heappop(heap)
-        if node in visited:
-            continue
-        visited.add(node)
-        for neighbor, link in topology.neighbors(node):
-            if neighbor in visited:
-                continue
-            candidate = d + weigh(link)
-            if candidate < dist.get(neighbor, float("inf")):
-                dist[neighbor] = candidate
-                prev[neighbor] = Hop(link, node, neighbor)
-                heapq.heappush(heap, (candidate, neighbor))
-    return dist, prev
+    search = ShortestPathSearch(topology, source, weight)
+    search.settle()
+    return search.dist, search.prev
 
 
 def extract_route(prev: Dict[int, Hop], source: int, dest: int) -> Optional[Route]:

@@ -220,6 +220,12 @@ class Topology:
             return list(links)
         return [link for link in links if link.up]
 
+    def incident(self, node_id: int) -> List[Link]:
+        """The live adjacency list of ``node_id``, down links included
+        (no copy, unlike :meth:`links_of`: callers must not mutate
+        it). For hot loops such as a route search."""
+        return self._adjacency[node_id]
+
     def neighbors(self, node_id: int, include_down: bool = False) -> Iterator[Tuple[int, Link]]:
         """Yield (neighbor id, link) pairs; down links skipped by default."""
         for link in self._adjacency[node_id]:

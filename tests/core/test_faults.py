@@ -18,6 +18,7 @@ from repro.faults import (
     NodeChurn,
     Partition,
     Perturbation,
+    SetLinkParams,
     random_stress,
 )
 from repro.topology import Topology, NodeKind, ring_topology
@@ -145,6 +146,34 @@ def test_partition_recovery_restores_connectivity():
     assert len(received) == 1
     assert received[0] > 2.5
     assert emulation.monitor.packets_unroutable == 1
+
+
+def test_weight_change_reaches_routes_at_the_next_reroute():
+    """Perfect routing reroutes only on up/down changes: a latency
+    change is announced to routing before the link mutates, and a
+    source's routes pick it up after the next reroute."""
+    sim, emulation = build_square()
+    announced = []
+    changing = emulation.routing.link_changing
+
+    def spy(link):
+        announced.append((link.id, link.latency_s))
+        changing(link)
+
+    emulation.routing.link_changing = spy
+    install(
+        emulation,
+        SetLinkParams(1.0, 0, latency_s=0.1),
+        LinkDown(2.0, 3),
+        LinkUp(2.5, 3),
+    )
+    assert [hop.dst for hop in emulation.routing.route(0, 3)] == [1, 3]
+    sim.run(until=1.5)
+    assert announced == [(0, 0.001)]
+    assert emulation.topology.links[0].latency_s == 0.1
+    assert [hop.dst for hop in emulation.routing.route(0, 3)] == [1, 3]
+    sim.run(until=3.0)
+    assert [hop.dst for hop in emulation.routing.route(0, 3)] == [2, 3]
 
 
 def test_perturbation_changes_latencies_within_bounds():
