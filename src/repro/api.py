@@ -710,8 +710,9 @@ class Scenario:
                             epoch_timeout_s=res.epoch_timeout_s,
                             heartbeat_interval_s=res.heartbeat_interval_s,
                             # Even an idle barrier keeps a supervised
-                            # run off the single-worker fast path, so
-                            # the epoch timeout bounds one epoch.
+                            # run on the per-epoch loop, where the hook
+                            # observes every epoch and crash replay
+                            # resends the recorded frames.
                             barrier=barrier,
                             chaos_kill=res.chaos_kill,
                             chaos_signal=res.chaos_signal,

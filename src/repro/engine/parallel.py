@@ -6,62 +6,77 @@ process rebuilds the *entire* emulation from a picklable
 :class:`~repro.api.ScenarioSpec` (build is deterministic per the
 repro.check contract, so every worker sees an identical object graph)
 and then runs only the event domains it owns. The parent never runs
-events: it is the barrier — it routes cross-domain messages, computes
-each epoch window, and broadcasts it.
+events. Two loops drive the workers:
 
-Determinism, regardless of worker count:
+* **Worker-driven** (every plain run, any worker count): one
+  ``("run", until)`` command, after which each worker runs
+  :meth:`PartitionedSimulator.run` itself over its owned domains. The
+  loop's mail step (:class:`PeerSync`) swaps mail and next-event times
+  with every peer directly over a :class:`PeerMesh` of socket pairs.
+  The parent only supervises heartbeats and collects results at
+  ``finish``.
+* **Per-epoch** (supervised and chaos runs): the parent is the
+  barrier. It routes every cross-domain message, computes each
+  epoch's windows and broadcasts them with ``run_epoch``, so its
+  barrier hook observes every epoch and crash replay can resend the
+  recorded frames.
 
-* every cross-domain message travels through the parent, which sorts
-  the union of all outboxes by ``(time, src_domain, seq)`` — the same
-  total order :meth:`DomainRouter.flush` uses in-process — before
-  slicing it per worker;
-* a worker injects its slice in that order, so heap sequence numbers
-  in each destination domain are assigned identically whether the
-  sender lived in the same worker or another one;
+Determinism, regardless of worker count or loop:
+
+* mail is injected into each destination domain in
+  ``(time, src_domain, seq)`` order — the total order
+  :meth:`DomainRouter.flush` uses in-process — so heap sequence
+  numbers are assigned identically whether the sender lived in the
+  same worker or another one;
 * the per-domain window vector is computed by the same
   :func:`~repro.engine.sync.epoch_windows` planner the serial
-  executor uses, on the same effective next-event vector
-  (worker-reported heap minima folded with undelivered message
-  times, which equals the post-flush heap minimum the serial
-  executor sees).
+  executor uses, on the same effective next-event vector (reported
+  heap minima folded with the earliest time of the mail in flight to
+  each domain, which equals the post-flush heap minimum the serial
+  executor sees). On the worker-driven loop every worker computes it
+  from the same exchanged values, so all agree on every window and
+  every :func:`~repro.engine.sync.fault_barrier`.
 
 Hence the composed per-domain digests of a multiprocess run match the
 serial partitioned run of the same scenario exactly — the property
 ``repro-net sanitize --backend multiprocess`` enforces.
 
-Mail crosses the process boundary as *batched frames*: each epoch
-command carries one pre-pickled bytes frame holding the worker's
-whole mail slice (``None`` when empty), and each reply carries one
-frame holding the worker's whole outbox. Frames are opaque to the
-supervisor, so crash-replay resends byte-identical commands without
-re-encoding, and the single-frame shape is the groundwork for
-shared-memory mailboxes later.
+On the per-epoch loop, mail crosses the process boundary as *batched
+frames*: each epoch command carries one pre-pickled bytes frame
+holding the worker's whole mail slice (``None`` when empty), and each
+reply carries one frame holding the worker's whole outbox. Frames are
+opaque to the supervisor, so crash-replay resends byte-identical
+commands without re-encoding.
 
 Execution is supervised (:mod:`repro.resilience`): every worker runs a
-heartbeat thread, replies carry streaming per-domain digests, and the
-parent drives the epoch barrier through a
-:class:`~repro.resilience.supervisor.WorkerSupervisor` that detects
-crashes and hangs, respawns dead workers from the spec, and replays
-them to the last completed barrier with a digest check — so a SIGKILL
-mid-run yields the same composed digest as an undisturbed run.
-A supervised run's barrier hook (budget guard, resume verification,
-checkpoints) observes the loop at epoch boundaries and never alters
-the epoch structure.
+heartbeat thread carrying its epoch count, and replies carry
+streaming per-domain digests. The
+:class:`~repro.resilience.supervisor.WorkerSupervisor` detects crashes
+and hangs. On the per-epoch loop it respawns a dead worker from the
+spec and replays it to the last completed barrier with a digest
+check; on the worker-driven loop it stops the whole group, respawns
+it with a fresh peer mesh and re-issues the run, whose deterministic
+rerun is the replay. Either way a SIGKILL mid-run yields the same
+composed digest as an undisturbed run. A supervised run's barrier
+hook (budget guard, resume verification, checkpoints) observes the
+loop at epoch boundaries and never alters the epoch structure.
 
-One synchronous round trip per worker per epoch is the price of the
-barrier. Per-pair lookahead and epoch coalescing keep that price
-bounded by the *real* cross-domain pipe latencies (milliseconds on
-the paper topologies, not the 20 us channel floor), so epochs carry
-thousands of events instead of a handful; BENCH results are reported
-honestly either way (see DESIGN.md §8).
+Workers account their loop time as ``compute_s`` (injecting mail and
+running windows), ``exchange_s`` (blocked sending to or receiving from
+a peer or the parent) and ``codec_s`` (encoding and pickling mail, and
+back), reported per worker as ``parallel.worker_*_s{worker=i}``.
 """
 
 from __future__ import annotations
 
 import gc
 import multiprocessing
+import os
 import pickle
+import select
 import signal as _signal
+import socket
+import struct
 import threading
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -155,6 +170,176 @@ def unpack_frame(frame: Optional[bytes]) -> List[DomainMessage]:
     if frame is None:
         return []
     return pickle.loads(frame)
+
+
+# ----------------------------------------------------------------------
+# Peer exchange (worker-driven loop)
+# ----------------------------------------------------------------------
+
+_FRAME_HEADER = struct.Struct("!Q")
+#: Largest single read from a peer socket.
+_READ_CHUNK = 1 << 20
+
+
+def peer_mesh(num_workers: int) -> List[Dict[int, socket.socket]]:
+    """A full mesh of stream socket pairs for a worker-driven run:
+    ``mesh[i][j]`` is worker ``i``'s end of its link to worker ``j``."""
+    mesh: List[Dict[int, socket.socket]] = [{} for _ in range(num_workers)]
+    for i in range(num_workers):
+        for j in range(i + 1, num_workers):
+            mesh[i][j], mesh[j][i] = socket.socketpair()
+    return mesh
+
+
+class PeerMesh:
+    """One worker's sockets to each of its peers.
+
+    :meth:`exchange` sends one frame to every peer and receives one
+    from every peer in a single ``select`` loop over non-blocking
+    sockets: it writes whatever the kernel accepts and reads whatever
+    has arrived, so it cannot deadlock for any frame size or worker
+    count. (A fixed order such as "the lower index sends first" can:
+    with three workers and frames larger than the socket buffers,
+    0 waits on 1, 1 on 2 and 2 on 0.) Frames are length-prefixed and a
+    read never runs past the current frame, because a fast peer's
+    next frame may already be queued behind it.
+    """
+
+    def __init__(self, sockets: Dict[int, socket.socket]) -> None:
+        self._sockets = dict(sockets)
+        self.peers = sorted(self._sockets)
+        for sock in self._sockets.values():
+            sock.setblocking(False)
+
+    def exchange(self, frames: Dict[int, bytes]) -> Dict[int, bytearray]:
+        """Send ``frames[peer]`` to every peer; return every peer's
+        frame to this worker, keyed by peer."""
+        sockets = self._sockets
+        unsent = {
+            sockets[peer]: memoryview(_FRAME_HEADER.pack(len(frame)) + frame)
+            for peer, frame in frames.items()
+        }
+        # socket -> [peer, bytes read, total frame length or None]
+        reading = {sockets[peer]: [peer, bytearray(), None] for peer in self.peers}
+        received: Dict[int, bytearray] = {}
+        while unsent or reading:
+            readable, writable, _ = select.select(
+                list(reading), list(unsent), []
+            )
+            for sock in writable:
+                view = unsent[sock]
+                sent = sock.send(view)
+                if sent < len(view):
+                    unsent[sock] = view[sent:]
+                else:
+                    del unsent[sock]
+            for sock in readable:
+                state = reading[sock]
+                peer, buffer, total = state
+                want = (total or _FRAME_HEADER.size) - len(buffer)
+                chunk = sock.recv(min(want, _READ_CHUNK))
+                if not chunk:
+                    raise ConnectionError(f"peer {peer} closed its link")
+                buffer += chunk
+                if total is None and len(buffer) == _FRAME_HEADER.size:
+                    total = state[2] = (
+                        _FRAME_HEADER.size + _FRAME_HEADER.unpack(buffer)[0]
+                    )
+                if len(buffer) == total:
+                    received[peer] = buffer[_FRAME_HEADER.size:]
+                    del reading[sock]
+        return received
+
+    def close(self) -> None:
+        for sock in self._sockets.values():
+            sock.close()
+
+
+class PeerSync:
+    """The worker-driven loop's mail step: the ``sync`` seam a worker
+    passes to :meth:`PartitionedSimulator.run`.
+
+    After each epoch it sends every peer one frame holding this
+    worker's owned domains' next-event times, the earliest time of its
+    outgoing mail per destination domain, and the mail addressed to
+    domains that peer owns. It then injects its own inbox in
+    ``(time, src_domain, seq)`` order and returns the full effective
+    next-event vector, which every worker builds from the same
+    exchanged values — the vector the serial :meth:`sync` returns.
+
+    ``last_batch`` is the mail injected by the latest call: the loop's
+    final call delivers mail into no epoch, so callers subtract it
+    from the router's count.
+    """
+
+    def __init__(self, sim, emulation, groups, index: int, mesh: PeerMesh,
+                 timing: Dict[str, float]) -> None:
+        self._sim = sim
+        self._emulation = emulation
+        self._groups = groups
+        self._index = index
+        self._owner = {d: w for w, group in enumerate(groups) for d in group}
+        self._mesh = mesh
+        self._timing = timing
+        self.last_batch = 0
+        self._mark = perf_counter()  # repro: allow-wallclock
+
+    def __call__(self) -> List[float]:
+        timing = self._timing
+        start = perf_counter()  # repro: allow-wallclock
+        timing["compute_s"] += start - self._mark
+        sim = self._sim
+        domains = sim.domains
+        index = self._index
+        owner = self._owner
+        owned = self._groups[index]
+        inbox: List[DomainMessage] = []
+        outgoing: Dict[int, List[DomainMessage]] = {
+            peer: [] for peer in self._mesh.peers
+        }
+        mail_min: Dict[int, float] = {}
+        for message in sim.router.take_pending():
+            dst = message.dst_domain
+            if message.time < mail_min.get(dst, INFINITY):
+                mail_min[dst] = message.time
+            if owner[dst] == index:
+                inbox.append(message)
+            else:
+                outgoing[owner[dst]].append(encode_message(message))
+        heads = [domains[d].next_event_time() for d in owned]
+        next_times = [INFINITY] * len(domains)
+        for d, t in zip(owned, heads):
+            next_times[d] = t
+        minima = [mail_min]
+        if outgoing:
+            frames = {
+                peer: pickle.dumps(
+                    (heads, mail_min, mail), protocol=pickle.HIGHEST_PROTOCOL
+                )
+                for peer, mail in outgoing.items()
+            }
+            sent = perf_counter()  # repro: allow-wallclock
+            received = self._mesh.exchange(frames)
+            arrived = perf_counter()  # repro: allow-wallclock
+            timing["exchange_s"] += arrived - sent
+            emulation = self._emulation
+            for peer, frame in received.items():
+                peer_heads, peer_min, mail = pickle.loads(frame)
+                for d, t in zip(self._groups[peer], peer_heads):
+                    next_times[d] = t
+                minima.append(peer_min)
+                inbox.extend(decode_message(m, emulation) for m in mail)
+            start += arrived - sent
+        for mins in minima:
+            for d, t in mins.items():
+                if t < next_times[d]:
+                    next_times[d] = t
+        self._mark = perf_counter()  # repro: allow-wallclock
+        timing["codec_s"] += self._mark - start
+        inbox.sort(key=lambda m: (m.time, m.src_domain, m.seq))
+        sim.router.inject(domains, inbox)
+        self.last_batch = len(inbox)
+        return next_times
 
 
 # ----------------------------------------------------------------------
@@ -275,12 +460,15 @@ def _collect_worker_stats(emulation, sim, owned: Sequence[int]) -> dict:
 def _worker_main(
     conn,
     spec,
-    owned: List[int],
+    groups: List[List[int]],
     worker_index: int = 0,
     heartbeat_interval_s: float = 0.5,
+    peers: Optional[Dict[int, socket.socket]] = None,
 ) -> None:
-    """One worker: rebuild, then serve epoch commands until 'finish'
-    (or 'stop', which exits without a reply).
+    """One worker: rebuild, then serve commands until 'finish' (or
+    'stop', which exits without a reply). ``groups[w]`` lists the
+    domains worker ``w`` owns; ``peers`` holds this worker's ends of
+    the peer mesh a worker-driven run exchanges mail over.
 
     A daemon heartbeat thread shares the reply pipe (under a send
     lock) so the supervisor can tell a dead or stopped process from a
@@ -296,9 +484,11 @@ def _worker_main(
     # keeps the worker's collections (and their pauses, which count
     # against the epoch timeout) to the objects the worker creates.
     gc.freeze()
+    owned = groups[worker_index]
     send_lock = threading.Lock()
     stop_beating = threading.Event()
     sim = None
+    timing = {"compute_s": 0.0, "exchange_s": 0.0, "codec_s": 0.0}
 
     def _send(payload) -> None:
         with send_lock:
@@ -324,9 +514,12 @@ def _worker_main(
             ("ready", {d: sim.domains[d].next_event_time() for d in owned})
         )
         while True:
+            waited = perf_counter()  # repro: allow-wallclock
             command = conn.recv()
             op = command[0]
             if op == "epoch":
+                t0 = perf_counter()  # repro: allow-wallclock
+                timing["exchange_s"] += t0 - waited
                 _, windows, frame = command
                 if frame is not None:
                     sim.router.inject(
@@ -336,6 +529,7 @@ def _worker_main(
                             for m in unpack_frame(frame)
                         ],
                     )
+                t1 = perf_counter()  # repro: allow-wallclock
                 if sim.fault_hook is not None:
                     # Barrier-aligned fault application: every worker
                     # receives the full window list and computes the
@@ -346,24 +540,29 @@ def _worker_main(
                     window = windows[d]
                     if window is not None:
                         sim.domains[d].run_window(window[0], window[1])
-                outbox = [
-                    encode_message(m) for m in sim.router.take_pending()
-                ]
+                t2 = perf_counter()  # repro: allow-wallclock
+                frame = pack_frame(
+                    [encode_message(m) for m in sim.router.take_pending()]
+                )
+                t3 = perf_counter()  # repro: allow-wallclock
                 _send(
                     (
                         "done",
                         {d: sim.domains[d].next_event_time() for d in owned},
-                        pack_frame(outbox),
+                        frame,
                         _domain_digests(sim, owned),
                     )
                 )
+                timing["compute_s"] += t2 - t1
+                timing["codec_s"] += (t1 - t0) + (t3 - t2)
+                timing["exchange_s"] += perf_counter() - t3  # repro: allow-wallclock
                 epoch_index += 1
             elif op == "run":
-                # Single-worker fast path: this worker owns every
-                # domain, so the parent has nothing to route and the
-                # whole epoch loop can run in-process — the exact
-                # serial-partitioned loop, hence byte-identical
-                # digests with zero per-epoch IPC.
+                # Worker-driven loop: every worker runs the serial
+                # partitioned loop over its own domains and swaps mail
+                # with its peers between epochs — the same windows and
+                # injection order, hence byte-identical digests with no
+                # per-epoch round trip through the parent.
                 _, run_until = command
                 if heartbeat_interval_s > 0:
                     # The loop itself also beats: a busy main thread can
@@ -379,24 +578,27 @@ def _worker_main(
                             _send(("hb", sim.epochs))
 
                     sim.on_epoch = _progress
-                sim.run(until=run_until)
+                mesh = PeerMesh(peers or {})
+                sync = PeerSync(sim, emulation, groups, worker_index, mesh, timing)
+                sim.run(until=run_until, sync=sync, owned=owned)
+                mesh.close()
                 _send(
                     (
                         "done",
                         {d: sim.domains[d].next_event_time() for d in owned},
-                        (sim.epochs, sim.router.messages_routed),
+                        (sim.epochs, sim.router.messages_routed - sync.last_batch),
                         _domain_digests(sim, owned),
                     )
                 )
-                epoch_index += 1
+                epoch_index = sim.epochs
             elif op == "finish":
                 _, until = command
                 if until is not None:
                     sim.fast_forward(until, owned)
                 stop_beating.set()
-                _send(
-                    ("result", _collect_worker_stats(emulation, sim, owned))
-                )
+                stats = _collect_worker_stats(emulation, sim, owned)
+                stats["timing"] = timing
+                _send(("result", stats))
                 conn.close()
                 return
             elif op == "stop":
@@ -416,7 +618,9 @@ def _worker_main(
                     {
                         "worker": worker_index,
                         "domains": list(owned),
-                        "epoch": epoch_index,
+                        "epoch": max(
+                            epoch_index, sim.epochs if sim is not None else 0
+                        ),
                         "traceback": traceback.format_exc(),
                     },
                 )
@@ -496,20 +700,24 @@ def run_multiprocess(
     with the merged statistics, and return the
     :class:`MultiprocessResult`.
 
-    ``workers == 0`` means one per domain, capped at the machine's
-    CPU count (oversubscription buys no parallelism and pays a
-    context-switch chain at every barrier); an explicit count is
+    ``workers == 0`` means one per domain, capped at the number of CPUs
+    this process may run on (oversubscription buys no parallelism and
+    pays a context-switch chain at every barrier); an explicit count is
     honored uncapped. Domains are dealt to workers round-robin; any
-    worker count from 1 to ``num_domains`` produces identical
-    digests. When a single worker owns every domain (and neither chaos
-    nor a barrier hook is in play) the worker runs the whole epoch
-    loop in-process — one command, zero per-epoch IPC. Every worker
-    streams its domains' native digests (supervision needs them for
-    verified recovery), so ``result.composed_digest`` is always set.
+    worker count from 1 to ``num_domains`` produces identical digests.
+    Unless chaos or a barrier hook is in play, the workers drive the
+    epoch loop themselves: one ``run`` command, after which they swap
+    mail and next-event times peer to peer and the parent only watches
+    heartbeats until ``finish``. Every worker streams its domains'
+    native digests (supervision needs them for verified recovery), so
+    ``result.composed_digest`` is always set.
 
-    Supervision: a crashed or hung worker is respawned from the spec
-    and deterministically replayed to the last completed epoch barrier
-    (digest-verified) per ``policy``; when retries run out a
+    Supervision: on the worker-driven loop a crashed or hung worker
+    stops the whole group, which is respawned with a fresh peer mesh
+    and rerun from the start; on the per-epoch loop the failed worker
+    alone is respawned from the spec and deterministically replayed to
+    the last completed epoch barrier (digest-verified). Both follow
+    ``policy``; when retries run out a
     :class:`~repro.resilience.supervisor.SupervisionEscalation`
     propagates so the caller can degrade to the serial backend.
     ``barrier(epoch_index, horizon, domain_digests, domain_counts,
@@ -531,15 +739,19 @@ def run_multiprocess(
     spec = scenario.to_spec()
     num_domains = sim.num_domains
     if workers <= 0:
-        # Default pool size: one worker per domain, capped at the
-        # machine's CPU count. Oversubscribing a small machine buys no
-        # parallelism and pays a context-switch chain at every barrier
-        # (on one CPU, four workers made each epoch ~1 ms of pure
-        # scheduling). Explicit counts are honored uncapped — the
+        # Default pool size: one worker per domain, capped at the CPUs
+        # this process may use (its affinity mask, which taskset or a
+        # cpuset narrows below the machine's count). Oversubscribing
+        # buys no parallelism and pays a context-switch chain at every
+        # barrier (on one CPU, four workers made each epoch ~1 ms of
+        # pure scheduling). Explicit counts are honored uncapped — the
         # worker-count-invariance tests depend on that.
-        import os as _os
-
-        workers = max(1, min(num_domains, _os.cpu_count() or 1))
+        cpus = (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1
+        )
+        workers = max(1, min(num_domains, cpus))
     num_workers = min(workers, num_domains)
     owned = [list(range(w, num_domains, num_workers)) for w in range(num_workers)]
     owner_of_domain = [d % num_workers for d in range(num_domains)]
@@ -548,19 +760,27 @@ def run_multiprocess(
     result.workers = num_workers
     ctx = _mp_context()
 
-    # Single-worker fast path: one worker owns every domain and runs
-    # the whole epoch loop in-process (no per-epoch IPC).
-    fast = num_workers == 1 and chaos_kill is None and barrier is None
+    # Worker-driven loop unless something must observe every epoch
+    # (a barrier hook) or act at one (chaos).
+    driven = chaos_kill is None and barrier is None
+    mesh: List[Dict[int, socket.socket]] = []
 
     def spawn(index: int):
+        if driven and index == 0:
+            # The supervisor (re)launches a worker-driven group whole
+            # and in index order: each launch gets a fresh mesh.
+            mesh[:] = peer_mesh(num_workers)
+        peers = mesh[index] if driven else None
         parent_conn, child_conn = ctx.Pipe()
         proc = ctx.Process(
             target=_worker_main,
-            args=(child_conn, spec, owned[index], index, heartbeat_interval_s),
+            args=(child_conn, spec, owned, index, heartbeat_interval_s, peers),
             daemon=True,
         )
         proc.start()
         child_conn.close()
+        for sock in (peers or {}).values():
+            sock.close()
         return parent_conn, proc
 
     supervisor = WorkerSupervisor(
@@ -580,11 +800,10 @@ def run_multiprocess(
         # the run phase — the same phase the serial wall clock covers.
         result.spawn_s = perf_counter() - t0  # repro: allow-wallclock
         t0 = perf_counter()  # repro: allow-wallclock
-        if fast:
-            # One worker owns every domain: no cross-worker mail, no
-            # global minimum to compute — the worker runs the serial
-            # epoch loop itself and reports once at the end (its final
-            # digests arrive with the stats).
+        if driven:
+            # The workers run the epoch loop among themselves and
+            # report once at the end (final digests arrive with the
+            # stats).
             result.epochs, result.messages_routed = supervisor.run_all(until)[2]
         else:
             pending: List[DomainMessage] = []
@@ -645,6 +864,11 @@ def run_multiprocess(
         result.retries = supervisor.retries
         supervisor.shutdown()
     result.metric_overlay["parallel.spawn_s"] = result.spawn_s
+    for index, worker_stats in enumerate(stats):
+        for name, seconds in worker_stats["timing"].items():
+            result.metric_overlay[
+                f"parallel.worker_{name}{{worker={index}}}"
+            ] = seconds
 
     _merge_stats(
         scenario,

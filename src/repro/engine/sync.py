@@ -425,11 +425,11 @@ def epoch_windows(
     ``None`` when the run is done.
 
     ``next_times[d]`` is domain ``d``'s earliest pending work *after*
-    mail flush — the serial executor reads its post-flush heaps, the
-    multiprocess parent folds undelivered mail times into the worker-
-    reported minima, and both land on the same vector, so both
-    executors compute identical window sequences (the digest-equality
-    contract).
+    mail flush — the serial executor reads its post-flush heaps, each
+    multiprocess worker folds its peers' reported heap minima with the
+    earliest time of the mail in flight to each domain, and both land
+    on the same vector, so both executors compute identical window
+    sequences (the digest-equality contract).
 
     For each destination ``j`` the horizon is
     ``min_i(psend_i + L[i][j])`` over the *closed* matrix, where
@@ -729,9 +729,29 @@ class PartitionedSimulator:
                 next_min = t
         return next_min
 
-    def run(self, until: Optional[float] = None) -> float:
+    def sync(self) -> List[float]:
+        """The step between epochs: inject pending mail in
+        ``(time, src_domain, seq)`` order and return the post-flush
+        next-event vector the next epoch's windows are planned from."""
+        self.router.flush(self.domains)
+        return [domain.next_event_time() for domain in self.domains]
+
+    def run(
+        self,
+        until: Optional[float] = None,
+        sync: Optional[Callable[[], Sequence[float]]] = None,
+        owned: Optional[Sequence[int]] = None,
+    ) -> float:
         """Advance all domains to ``until`` (or until drained) in
-        lookahead-bounded epochs with deterministic mail delivery."""
+        lookahead-bounded epochs with deterministic mail delivery.
+
+        ``sync`` replaces :meth:`sync` and ``owned`` restricts dispatch
+        (and the final clock alignment) to those domains. A
+        multiprocess worker passes both: its ``sync`` swaps mail and
+        next-event times with its peers and returns the same vector
+        :meth:`sync` would in one process, so every worker plans the
+        same windows and fault barriers as this loop does serially.
+        """
         if self._running:
             raise SimulationError("simulator is already running")
         if until is not None and until < self.now:
@@ -740,22 +760,22 @@ class PartitionedSimulator:
             )
         self._running = True
         self._stopped = False
-        domains = self.domains
-        router = self.router
+        if sync is None:
+            sync = self.sync
+        runs = list(enumerate(self.domains))
+        if owned is not None:
+            runs = [runs[d] for d in owned]
         matrix = self.matrix
         try:
             while not self._stopped:
-                router.flush(domains)
-                next_times = [
-                    domain.next_event_time() for domain in domains
-                ]
-                windows = epoch_windows(next_times, matrix, until)
+                windows = epoch_windows(sync(), matrix, until)
                 if windows is None:
                     break
                 barrier = fault_barrier(windows)
                 if self.fault_hook is not None:
                     self.fault_hook(barrier)
-                for domain, window in zip(domains, windows):
+                for d, domain in runs:
+                    window = windows[d]
                     if window is not None:
                         domain.run_window(*window)
                 self.epochs += 1
@@ -765,7 +785,7 @@ class PartitionedSimulator:
             self._running = False
         if until is not None and not self._stopped:
             # Natural drain: align every idle clock with the target.
-            self.fast_forward(until)
+            self.fast_forward(until, owned)
         return self.now
 
     def __repr__(self) -> str:

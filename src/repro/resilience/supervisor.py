@@ -1,11 +1,14 @@
 """WorkerSupervisor: heartbeats, failure typing, deterministic recovery.
 
-The multiprocess backend (:mod:`repro.engine.parallel`) is a lockstep
-epoch barrier: the parent broadcasts ``("epoch", horizon, inclusive,
-messages)`` commands and every worker must answer with ``("done",
-next_times, outbox, digests)``. That protocol makes supervision
-simple — a worker is healthy iff it answers the current command within
-the epoch timeout — and makes recovery *provably* correct:
+The multiprocess backend (:mod:`repro.engine.parallel`) drives its
+workers one of two ways.
+
+On the per-epoch loop the parent is a lockstep epoch barrier: it
+broadcasts ``("epoch", windows, mail_frame)`` commands and every worker
+must answer with ``("done", next_times, outbox, digests)``. That
+protocol makes supervision simple — a worker is healthy iff it answers
+the current command within the epoch timeout — and makes recovery
+*provably* correct:
 
 * builds are deterministic (the ``repro.check`` contract), so a
   respawned worker rebuilt from the same picklable ``ScenarioSpec`` is
@@ -25,7 +28,17 @@ worker reported a traceback), :class:`WorkerHang` (alive but silent
 past the epoch timeout — the heartbeat thread distinguishes a wedged
 process from a livelocked one), :class:`WorkerDesync` (replay digest
 mismatch). Each carries the worker id, its domain group, the epoch
-index, and the original traceback when one exists. Retries follow the
+index, and the original traceback when one exists.
+
+On the worker-driven loop (:meth:`WorkerSupervisor.run_all`) one
+``("run", until)`` command sends every worker through the whole epoch
+loop, exchanging mail with its peers directly; heartbeats carry each
+worker's epoch count, so the epoch timeout still bounds one epoch. The
+workers depend on each other, so any failure stops the whole group,
+which is respawned (with a fresh peer mesh) and re-issued the run: the
+deterministic rerun is the replay.
+
+Retries follow the
 :class:`~repro.resilience.policy.RetryPolicy`; when attempts run out a
 :class:`SupervisionEscalation` is raised and the caller may degrade to
 serial partitioned execution (same digests by construction).
@@ -138,6 +151,7 @@ class WorkerHandle:
         "conn",
         "proc",
         "completed",
+        "progress",
         "last_digests",
         "next_times",
     )
@@ -149,6 +163,8 @@ class WorkerHandle:
         self.proc = None
         #: Epochs this worker has completed (answered "done" for).
         self.completed = 0
+        #: Epochs its heartbeats report finished in a ``run`` command.
+        self.progress = 0
         #: ``{domain: (hexdigest, event_count)}`` from the latest
         #: completed epoch — the recovery ground truth.
         self.last_digests: Optional[Dict[int, Tuple[str, int]]] = None
@@ -157,6 +173,18 @@ class WorkerHandle:
     @property
     def pid(self) -> Optional[int]:
         return self.proc.pid if self.proc is not None else None
+
+
+def _wait(conns: List[Any], timeout: float) -> List[Any]:
+    """The connections among ``conns`` with something to read, waiting
+    up to ``timeout``; a single connection is polled directly."""
+    if len(conns) == 1:
+        return conns if conns[0].poll(timeout) else []
+    # Imported here: only a multi-worker wait needs it, and every run
+    # imports this module.
+    from multiprocessing.connection import wait
+
+    return wait(conns, timeout)
 
 
 class WorkerSupervisor:
@@ -185,6 +213,9 @@ class WorkerSupervisor:
         #: per-worker opaque bytes the executor encoded (kept as-is so
         #: replay resends byte-identical commands without re-pickling).
         self._history: List[Tuple[Any, List[Any]]] = []
+        #: The worker-driven ``run`` command once issued: a group
+        #: restart during ``finish`` must rerun it first.
+        self._run: Optional[Tuple[str, Any]] = None
         # Counters surfaced as resilience.* metrics.
         self.heartbeats_missed = 0
         self.workers_restarted = 0
@@ -194,19 +225,25 @@ class WorkerSupervisor:
 
     @property
     def epoch_index(self) -> int:
-        return len(self._history)
+        """Index of the epoch in flight: the recorded barriers on the
+        per-epoch loop, the furthest heartbeat-reported epoch on a
+        worker-driven run."""
+        return max(len(self._history), *(h.progress for h in self.workers))
 
     def start(self) -> Dict[int, float]:
         """Spawn every worker, await readiness, return merged
-        per-domain next event times."""
+        per-domain next event times. A worker that fails to come up
+        restarts the whole group: nothing has run yet, and workers of a
+        worker-driven run share one peer mesh."""
         for handle in self.workers:
             self._launch(handle)
+        try:
+            for handle in self.workers:
+                self._ready(handle)
+        except WorkerFailure as failure:
+            self._restart_group(failure)
         next_times: Dict[int, float] = {}
         for handle in self.workers:
-            try:
-                self._ready(handle)
-            except WorkerFailure as failure:
-                self._handle_failure(handle, failure, resend=None)
             next_times.update(handle.next_times)
         return next_times
 
@@ -227,38 +264,48 @@ class WorkerSupervisor:
         return replies
 
     def run_all(self, until, timeout_s: Optional[float] = None):
-        """Single-worker fast path: one ``("run", until)`` command has
-        the worker drive its own epoch loop to ``until`` — no per-epoch
-        parent barrier.
+        """Worker-driven loop: one ``("run", until)`` command has every
+        worker drive its own epoch loop to ``until``, swapping mail and
+        next-event times with its peers — no per-epoch parent barrier.
 
-        Only valid when one worker owns every domain (nothing to
-        route, nothing to synchronize against). The epoch history
-        stays empty, so crash recovery degenerates correctly: replay
-        is a no-op and the whole deterministic run is re-issued.
+        The epoch history stays empty. Any failure stops the whole
+        group, respawns it and re-issues the run (see
+        :meth:`_restart_group`); the deterministic rerun is the replay.
         The wait is bounded per finished epoch, not for the whole run
-        (see :meth:`_recv`): a long healthy run completes, while a
+        (see :meth:`_gather`): a long healthy run completes, while a
         wedged or livelocked worker still raises :class:`WorkerHang`.
-        Returns the worker's ``("done", next_times, (epochs,
-        messages_routed), digests)`` reply.
+        Returns the workers' ``("done", next_times, (epochs,
+        messages_routed), digests)`` replies merged into one: the
+        union of their per-domain maps, the common epoch count and the
+        summed message count.
         """
-        if len(self.workers) != 1:
-            raise ResilienceError(
-                "run_all needs exactly one worker owning every domain"
-            )
-        handle = self.workers[0]
-        command = ("run", until)
+        command = self._run = ("run", until)
         try:
-            self._send(handle, command)
-            reply = self._recv(handle, timeout_s=timeout_s)
+            replies = self._issue(command, timeout_s)
         except WorkerFailure as failure:
-            reply = self._handle_failure(handle, failure, resend=command)
-        handle.next_times = dict(reply[1])
-        handle.last_digests = dict(reply[3])
-        return reply
+            replies = self._restart_group(failure, command, timeout_s=timeout_s)
+        next_times: Dict[int, float] = {}
+        digests: Dict[int, Tuple[str, int]] = {}
+        epochs = routed = 0
+        for handle, reply in zip(self.workers, replies):
+            handle.next_times = dict(reply[1])
+            handle.last_digests = dict(reply[3])
+            next_times.update(reply[1])
+            digests.update(reply[3])
+            epochs = max(epochs, reply[2][0])
+            routed += reply[2][1]
+        return ("done", next_times, (epochs, routed), digests)
 
     def finish(self, until) -> List[dict]:
         """Send the final command; returns per-worker stats dicts."""
-        replies = self._broadcast([("finish", until)] * len(self.workers))
+        command = ("finish", until)
+        if self._run is None:
+            replies = self._broadcast([command] * len(self.workers))
+        else:
+            try:
+                replies = self._issue(command)
+            except WorkerFailure as failure:
+                replies = self._restart_group(failure, self._run, command)
         return [reply[1] for reply in replies]
 
     def shutdown(self) -> None:
@@ -293,6 +340,7 @@ class WorkerSupervisor:
     # -- plumbing ------------------------------------------------------
 
     def _launch(self, handle: WorkerHandle) -> None:
+        handle.progress = 0
         handle.conn, handle.proc = self._spawn(handle.index)
 
     def _ready(self, handle: WorkerHandle) -> None:
@@ -352,108 +400,134 @@ class WorkerSupervisor:
                 detail=f"process died (exitcode {handle.proc.exitcode})",
             )
 
-    def _recv(self, handle: WorkerHandle, timeout_s: Optional[float] = None):
-        """Receive the next non-heartbeat reply, within the timeout.
+    def _issue(self, command, timeout_s: Optional[float] = None) -> List[Any]:
+        """Send one ``command`` to every worker, then gather every
+        reply; any failure propagates (the group is recovered whole)."""
+        for handle in self.workers:
+            self._send(handle, command)
+        return self._gather(self.workers, timeout_s)
 
-        Polls at the heartbeat cadence: every empty window counts a
-        missed heartbeat; EOF or a dead process is a crash; hitting the
-        deadline with the process still alive is a hang (the message
-        records whether heartbeats kept arriving — livelock — or the
-        process went completely silent — wedged/stopped).
+    def _recv(self, handle: WorkerHandle, timeout_s: Optional[float] = None):
+        """Receive ``handle``'s next non-heartbeat reply (see
+        :meth:`_gather`)."""
+        return self._gather([handle], timeout_s)[0]
+
+    def _gather(
+        self, handles: Sequence[WorkerHandle], timeout_s: Optional[float] = None
+    ) -> List[Any]:
+        """Receive the next non-heartbeat reply of every handle, each
+        within the timeout; returns them in ``handles`` order.
+
+        Waits on every pipe at once at the heartbeat cadence, so no
+        worker's beats pile up while another is awaited: every empty
+        window counts a missed heartbeat; EOF or a dead process is a
+        crash; hitting a worker's deadline with the process still alive
+        is a hang (the message records whether heartbeats kept
+        arriving — livelock — or the process went completely silent —
+        wedged/stopped).
 
         Heartbeats carry the worker's epoch count. A beat whose count
-        exceeds every count seen so far in this wait (starting from 0,
-        so the first beat of a run already counts) restarts the
-        deadline, so the timeout bounds one epoch: a ``("run", until)``
-        command that keeps finishing epochs is waited out, while a
-        worker that beats without finishing one (livelock) still hangs.
-        A worker serving per-epoch commands never advances the count.
+        exceeds every count that worker reported so far in this wait
+        (starting from 0, so the first beat of a run already counts)
+        restarts its deadline, so the timeout bounds one epoch: a
+        ``("run", until)`` command that keeps finishing epochs is waited
+        out, while a worker that beats without finishing one (livelock)
+        still hangs. A worker serving per-epoch commands never advances
+        the count.
         """
         timeout_s = self.epoch_timeout_s if timeout_s is None else timeout_s
-        deadline = time.monotonic() + timeout_s
-        beats = 0
-        epochs = 0
-        while True:
-            remaining = deadline - time.monotonic()
-            # Only an empty pipe past the deadline is a hang: queued
-            # replies are read first, so a stall on this side (a long GC
-            # pause) cannot hide beats that report progress.
-            if remaining <= 0 and not handle.conn.poll(0):
-                self._check_alive(handle)
-                liveness = (
-                    f"{beats} heartbeat(s) received while waiting "
-                    "(livelocked?)"
-                    if beats
-                    else "no heartbeats received (wedged or stopped)"
-                )
-                raise WorkerHang(
-                    handle.index,
-                    handle.domains,
-                    self.epoch_index,
-                    detail=(
-                        f"no reply within {timeout_s:g}s; {liveness}"
-                    ),
-                )
-            window = min(self.heartbeat_interval_s, max(remaining, 0.0))
-            try:
-                if not handle.conn.poll(window):
-                    self.heartbeats_missed += 1
+        waiting = {id(handle.conn): handle for handle in handles}
+        deadline = dict.fromkeys(waiting, time.monotonic() + timeout_s)
+        beats = dict.fromkeys(waiting, 0)
+        epochs = dict.fromkeys(waiting, 0)
+        replies: Dict[int, Any] = {}
+        while waiting:
+            now = time.monotonic()
+            for key, handle in waiting.items():
+                # Only an empty pipe past the deadline is a hang: queued
+                # replies are read first, so a stall on this side (a
+                # long GC pause) cannot hide beats that report progress.
+                if deadline[key] <= now and not handle.conn.poll(0):
                     self._check_alive(handle)
-                    continue
-                reply = handle.conn.recv()
-            except (EOFError, OSError) as exc:
-                raise WorkerCrash(
-                    handle.index,
-                    handle.domains,
-                    self.epoch_index,
-                    detail=f"pipe closed: {exc!r}",
-                ) from exc
-            tag = reply[0]
-            if tag == "hb":
-                beats += 1
-                if len(reply) > 1 and reply[1] > epochs:
-                    deadline = time.monotonic() + timeout_s
-                    epochs = reply[1]
+                    liveness = (
+                        f"{beats[key]} heartbeat(s) received while "
+                        "waiting (livelocked?)"
+                        if beats[key]
+                        else "no heartbeats received (wedged or stopped)"
+                    )
+                    raise WorkerHang(
+                        handle.index,
+                        handle.domains,
+                        self.epoch_index,
+                        detail=f"no reply within {timeout_s:g}s; {liveness}",
+                    )
+            remaining = min(deadline.values()) - now
+            window = min(self.heartbeat_interval_s, max(remaining, 0.0))
+            ready = _wait([handle.conn for handle in waiting.values()], window)
+            if not ready:
+                self.heartbeats_missed += 1
+                for handle in waiting.values():
+                    self._check_alive(handle)
                 continue
-            if tag == "error":
-                info = reply[1] if isinstance(reply[1], dict) else {}
-                raise WorkerCrash(
-                    handle.index,
-                    handle.domains,
-                    info.get("epoch", self.epoch_index),
-                    detail="worker reported an error",
-                    traceback=info.get(
-                        "traceback",
-                        reply[1] if isinstance(reply[1], str) else None,
-                    ),
-                )
-            return reply
+            for conn in ready:
+                key = id(conn)
+                handle = waiting[key]
+                try:
+                    reply = conn.recv()
+                except (EOFError, OSError) as exc:
+                    raise WorkerCrash(
+                        handle.index,
+                        handle.domains,
+                        self.epoch_index,
+                        detail=f"pipe closed: {exc!r}",
+                    ) from exc
+                tag = reply[0]
+                if tag == "hb":
+                    beats[key] += 1
+                    if len(reply) > 1 and reply[1] > epochs[key]:
+                        deadline[key] = time.monotonic() + timeout_s
+                        epochs[key] = reply[1]
+                        self._note_progress(handle, reply[1])
+                    continue
+                if tag == "error":
+                    info = reply[1] if isinstance(reply[1], dict) else {}
+                    raise WorkerCrash(
+                        handle.index,
+                        handle.domains,
+                        info.get("epoch", self.epoch_index),
+                        detail="worker reported an error",
+                        traceback=info.get(
+                            "traceback",
+                            reply[1] if isinstance(reply[1], str) else None,
+                        ),
+                    )
+                replies[handle.index] = reply
+                del waiting[key], deadline[key]
+        return [replies[handle.index] for handle in handles]
+
+    def _note_progress(self, handle: WorkerHandle, epochs: int) -> None:
+        """A heartbeat reported ``epochs`` finished epochs of a ``run``
+        command."""
+        handle.progress = epochs
 
     # -- recovery ------------------------------------------------------
 
-    def _handle_failure(self, handle: WorkerHandle, failure: WorkerFailure, resend):
-        """Recover ``handle`` per the retry policy.
-
-        ``resend`` is the in-flight command to re-issue after replay
-        (or ``None`` during startup); returns its reply when set.
-        Raises :class:`SupervisionEscalation` when attempts run out.
-        """
+    def _retry(self, failure: WorkerFailure, attempt: Callable[[], Any]):
+        """Run ``attempt`` (a recovery) until it succeeds or the retry
+        policy runs out; returns its result. Raises
+        :class:`SupervisionEscalation`, carrying the supervisor's
+        counters, when attempts run out."""
         last: WorkerFailure = failure
-        attempt = 0
-        while attempt < self.policy.max_attempts:
-            attempt += 1
+        attempts = 0
+        while attempts < self.policy.max_attempts:
+            attempts += 1
             self.retries += 1
-            self.policy.sleep(attempt)
+            self.policy.sleep(attempts)
             try:
-                self._respawn(handle)
-                self._replay(handle)
-                if resend is None:
-                    return None
-                self._send(handle, resend)
-                return self._recv(handle)
+                return attempt()
             except WorkerFailure as exc:
                 last = exc
-        escalation = SupervisionEscalation(handle.index, attempt, last)
+        escalation = SupervisionEscalation(failure.worker, attempts, last)
         # Counters travel with the escalation so a degraded run's
         # report can still account for the failed parallel attempt.
         escalation.counters = {
@@ -462,6 +536,44 @@ class WorkerSupervisor:
             "retries": self.retries,
         }
         raise escalation from last
+
+    def _handle_failure(self, handle: WorkerHandle, failure: WorkerFailure, resend):
+        """Recover ``handle`` alone per the retry policy: respawn it,
+        replay the epoch history, and re-issue ``resend`` (the in-flight
+        command, or ``None`` for none); returns its reply."""
+
+        def attempt():
+            self._respawn(handle)
+            self._replay(handle)
+            if resend is None:
+                return None
+            self._send(handle, resend)
+            return self._recv(handle)
+
+        return self._retry(failure, attempt)
+
+    def _restart_group(self, failure: WorkerFailure, *commands,
+                       timeout_s: Optional[float] = None):
+        """Recover the whole group per the retry policy: stop every
+        worker, respawn all in index order (the executor gives each
+        launch a fresh peer mesh), then issue ``commands`` in turn to
+        every worker. Returns the last command's replies (``None``
+        without commands)."""
+
+        def attempt():
+            for handle in self.workers:
+                self._reap(handle, join_timeout_s=0.0)
+            for handle in self.workers:
+                self.workers_restarted += 1
+                self._launch(handle)
+            for handle in self.workers:
+                self._ready(handle)
+            replies = None
+            for command in commands:
+                replies = self._issue(command, timeout_s)
+            return replies
+
+        return self._retry(failure, attempt)
 
     def _respawn(self, handle: WorkerHandle) -> None:
         self._reap(handle, join_timeout_s=0.0)

@@ -105,7 +105,7 @@ def test_validate_refuses_unknown_links_upfront():
 def test_serial_and_multiprocess_agree_at_every_worker_count():
     serial_digest, serial_events = _digest(_ring_scenario())
     serial_counters = None
-    for workers in (1, 2, 4):
+    for workers in (1, 2, 3, 4):
         scenario = _ring_scenario("multiprocess", workers=workers)
         scenario.build()
         result = run_multiprocess(

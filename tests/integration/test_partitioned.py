@@ -171,7 +171,8 @@ class TestMultiprocess:
 
     def test_default_worker_count_is_capped_by_cpu_count(self):
         """workers=0 must not oversubscribe the machine: more workers
-        than CPUs just adds context-switch chains at every barrier."""
+        than usable CPUs just adds context-switch chains at every
+        barrier."""
         import os
 
         from repro.engine.parallel import run_multiprocess
@@ -181,12 +182,32 @@ class TestMultiprocess:
         result = run_multiprocess(
             scenario, until=UNTIL, workers=0
         )
-        assert result.workers == max(1, min(4, os.cpu_count() or 1))
+        usable = (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1
+        )
+        assert result.workers == max(1, min(4, usable))
         # The capped run keeps the digest contract with the serial
         # executor regardless of which path (fast or epoch) it took.
         serial_digest, serial_events = _digest(_ring_scenario())
         assert result.composed_digest == serial_digest
         assert result.events_dispatched == serial_events
+
+    def test_default_worker_count_follows_cpu_affinity(self, monkeypatch):
+        """Under taskset or a cpuset the process may use fewer CPUs
+        than the machine has; the default pool must fit the mask."""
+        import os
+
+        from repro.engine.parallel import run_multiprocess
+
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        scenario = _ring_scenario("multiprocess")
+        scenario.build()
+        result = run_multiprocess(scenario, until=UNTIL, workers=0)
+        assert result.workers == 1
 
     def test_custom_traffic_rejected(self):
         scenario = _ring_scenario("multiprocess")

@@ -23,6 +23,8 @@ BACKENDS = {
     "serial-4domains": ("ring8x2", 4, 4, 8, 0.2, "serial", None),
     "multiprocess-1worker": ("ring8x2", 4, 4, 8, 0.2, "multiprocess", 1),
     "multiprocess-2workers": ("ring8x2", 4, 4, 8, 0.2, "multiprocess", 2),
+    # Uneven ownership: {0, 3}, {1}, {2}.
+    "multiprocess-3workers": ("ring8x2", 4, 4, 8, 0.2, "multiprocess", 3),
 }
 
 #: Supervision variants: bare ``.resilience()`` observes no barrier;
@@ -82,9 +84,10 @@ def test_plain_and_supervised_runs_agree(backend):
 
 
 def test_plain_single_worker_run_outlasts_its_epoch_timeout():
-    """A plain one-worker run takes the single-command fast path; its
-    heartbeats report finished epochs, so a run longer than the epoch
-    timeout completes without being misread as a hang."""
+    """A plain one-worker run takes the worker-driven loop (one
+    command for the whole run); its heartbeats report finished epochs,
+    so a run longer than the epoch timeout completes without being
+    misread as a hang."""
     from repro.engine.parallel import run_multiprocess
 
     scenario = _scenario("multiprocess-1worker")
@@ -109,3 +112,35 @@ def test_supervised_single_worker_run_outlasts_its_epoch_timeout():
     assert report.metrics["resilience.retries"] == 0
     assert report.metrics["resilience.downgrades"] == 0
     assert scenario.mp_result.workers == 1
+
+
+def test_worker_killed_mid_run_restarts_the_group(monkeypatch):
+    """SIGKILL one worker of a plain two-worker run once it has
+    finished an epoch: the supervisor stops the whole group, respawns
+    it with a fresh peer mesh and reruns it, and the composed digest is
+    still the committed baseline."""
+    from repro.engine.parallel import run_multiprocess
+    from repro.resilience import RetryPolicy, WorkerSupervisor
+
+    killed = []
+    note_progress = WorkerSupervisor._note_progress
+
+    def kill_once(self, handle, epochs):
+        note_progress(self, handle, epochs)
+        if epochs >= 1 and not killed:
+            killed.append(epochs)
+            self.kill(1)
+
+    monkeypatch.setattr(WorkerSupervisor, "_note_progress", kill_once)
+    scenario = _scenario("multiprocess-2workers")
+    scenario.build()
+    result = run_multiprocess(
+        scenario,
+        until=BACKENDS["multiprocess-2workers"][4],
+        workers=2,
+        policy=RetryPolicy(max_attempts=2, base_backoff_s=0.0, jitter=0.0),
+        heartbeat_interval_s=0.005,
+    )
+    assert killed
+    assert result.workers_restarted >= 1
+    assert result.composed_digest == _committed("ring8x2")
