@@ -709,10 +709,9 @@ class Scenario:
                             policy=res.retry_policy(self._seed),
                             epoch_timeout_s=res.epoch_timeout_s,
                             heartbeat_interval_s=res.heartbeat_interval_s,
-                            # Even an idle barrier keeps a supervised
-                            # run on the per-epoch loop, where the hook
-                            # observes every epoch and crash replay
-                            # resends the recorded frames.
+                            # Even an idle barrier makes the run
+                            # observed: the workers stop at every epoch
+                            # barrier until the hook has seen it.
                             barrier=barrier,
                             chaos_kill=res.chaos_kill,
                             chaos_signal=res.chaos_signal,

@@ -1,4 +1,4 @@
-"""Multiprocess executor: one worker per domain group, lockstep epochs.
+"""Multiprocess executor: one worker per domain group, peer-to-peer epochs.
 
 The serial :class:`~repro.engine.sync.PartitionedSimulator` proves the
 partitioning correct; this module makes it parallel. Each worker
@@ -6,65 +6,54 @@ process rebuilds the *entire* emulation from a picklable
 :class:`~repro.api.ScenarioSpec` (build is deterministic per the
 repro.check contract, so every worker sees an identical object graph)
 and then runs only the event domains it owns. The parent never runs
-events. Two loops drive the workers:
+events and never carries mail.
 
-* **Worker-driven** (every plain run, any worker count): one
-  ``("run", until)`` command, after which each worker runs
-  :meth:`PartitionedSimulator.run` itself over its owned domains. The
-  loop's mail step (:class:`PeerSync`) swaps mail and next-event times
-  with every peer directly over a :class:`PeerMesh` of socket pairs.
-  The parent only supervises heartbeats and collects results at
-  ``finish``.
-* **Per-epoch** (supervised and chaos runs): the parent is the
-  barrier. It routes every cross-domain message, computes each
-  epoch's windows and broadcasts them with ``run_epoch``, so its
-  barrier hook observes every epoch and crash replay can resend the
-  recorded frames.
+One ``("run", until, observed)`` command sends every worker through
+:meth:`PartitionedSimulator.run` over its owned domains. The loop's
+mail step (:class:`PeerSync`) swaps mail and next-event times with
+every peer directly over a :class:`PeerMesh` of socket pairs, one
+:func:`pack_frame` frame per peer per epoch. On a plain run the parent
+only supervises heartbeats and collects results at ``finish``. An
+*observed* run (a barrier hook or a chaos kill is set) also stops
+every worker at each epoch barrier: the worker reports ``("barrier",
+epoch, horizon, messages_routed, digests)`` on its command pipe and
+blocks until the parent answers ``("go",)``, or ``("finish", None)``
+to halt there after a budget abort.
 
-Determinism, regardless of worker count or loop:
+Determinism, regardless of worker count:
 
 * mail is injected into each destination domain in
   ``(time, src_domain, seq)`` order — the total order
   :meth:`DomainRouter.flush` uses in-process — so heap sequence
   numbers are assigned identically whether the sender lived in the
   same worker or another one;
-* the per-domain window vector is computed by the same
-  :func:`~repro.engine.sync.epoch_windows` planner the serial
-  executor uses, on the same effective next-event vector (reported
+* every worker computes the per-domain window vector with the same
+  :func:`~repro.engine.sync.epoch_windows` planner the serial executor
+  uses, on the same exchanged effective next-event vector (reported
   heap minima folded with the earliest time of the mail in flight to
   each domain, which equals the post-flush heap minimum the serial
-  executor sees). On the worker-driven loop every worker computes it
-  from the same exchanged values, so all agree on every window and
-  every :func:`~repro.engine.sync.fault_barrier`.
+  executor sees), so all agree on every window and every
+  :func:`~repro.engine.sync.fault_barrier`.
 
 Hence the composed per-domain digests of a multiprocess run match the
 serial partitioned run of the same scenario exactly — the property
 ``repro-net sanitize --backend multiprocess`` enforces.
 
-On the per-epoch loop, mail crosses the process boundary as *batched
-frames*: each epoch command carries one pre-pickled bytes frame
-holding the worker's whole mail slice (``None`` when empty), and each
-reply carries one frame holding the worker's whole outbox. Frames are
-opaque to the supervisor, so crash-replay resends byte-identical
-commands without re-encoding.
-
 Execution is supervised (:mod:`repro.resilience`): every worker runs a
-heartbeat thread carrying its epoch count, and replies carry
-streaming per-domain digests. The
-:class:`~repro.resilience.supervisor.WorkerSupervisor` detects crashes
-and hangs. On the per-epoch loop it respawns a dead worker from the
-spec and replays it to the last completed barrier with a digest
-check; on the worker-driven loop it stops the whole group, respawns
-it with a fresh peer mesh and re-issues the run, whose deterministic
-rerun is the replay. Either way a SIGKILL mid-run yields the same
-composed digest as an undisturbed run. A supervised run's barrier
-hook (budget guard, resume verification, checkpoints) observes the
-loop at epoch boundaries and never alters the epoch structure.
+heartbeat thread carrying its epoch count and folds its domains' native
+digests. The :class:`~repro.resilience.supervisor.WorkerSupervisor`
+detects crashes and hangs, stops the whole group, respawns it with a
+fresh peer mesh and reruns it; the deterministic rerun is the replay.
+On an observed run the rerun is released silently through the barriers
+already seen and digest-checked at the last one, so a SIGKILL mid-run
+yields the same composed digest as an undisturbed run and the barrier
+hook sees each barrier once.
 
 Workers account their loop time as ``compute_s`` (injecting mail and
 running windows), ``exchange_s`` (blocked sending to or receiving from
-a peer or the parent) and ``codec_s`` (encoding and pickling mail, and
-back), reported per worker as ``parallel.worker_*_s{worker=i}``.
+a peer, or at a barrier on the parent) and ``codec_s`` (encoding and
+pickling mail, and back), reported per worker as
+``parallel.worker_*_s{worker=i}``.
 """
 
 from __future__ import annotations
@@ -82,12 +71,7 @@ from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.domain import INFINITY, run_digest
-from repro.engine.sync import (
-    DomainMessage,
-    MSG_HOST,
-    epoch_windows,
-    fault_barrier,
-)
+from repro.engine.sync import DomainMessage, MSG_HOST
 from repro.resilience.policy import (
     BudgetExceeded,
     ResilienceError,
@@ -155,25 +139,20 @@ def decode_message(message: DomainMessage, emulation) -> DomainMessage:
     return message._replace(payload=descriptor)
 
 
-def pack_frame(messages: List[DomainMessage]) -> Optional[bytes]:
-    """One pickle frame for a whole (already-encoded) mail batch.
-
-    ``None`` stands for the empty batch so quiet epochs ship a single
-    byte over the command pipe instead of a pickled empty list.
-    """
-    if not messages:
-        return None
-    return pickle.dumps(messages, protocol=pickle.HIGHEST_PROTOCOL)
+def pack_frame(payload: Any) -> bytes:
+    """One pickle frame for everything a worker sends one peer after an
+    epoch: its next-event times, mail minima and (already-encoded)
+    mail."""
+    return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def unpack_frame(frame: Optional[bytes]) -> List[DomainMessage]:
-    if frame is None:
-        return []
+def unpack_frame(frame: bytes) -> Any:
+    """The payload of a :func:`pack_frame` frame."""
     return pickle.loads(frame)
 
 
 # ----------------------------------------------------------------------
-# Peer exchange (worker-driven loop)
+# Peer exchange
 # ----------------------------------------------------------------------
 
 _FRAME_HEADER = struct.Struct("!Q")
@@ -182,7 +161,7 @@ _READ_CHUNK = 1 << 20
 
 
 def peer_mesh(num_workers: int) -> List[Dict[int, socket.socket]]:
-    """A full mesh of stream socket pairs for a worker-driven run:
+    """A full mesh of stream socket pairs for one run of the group:
     ``mesh[i][j]`` is worker ``i``'s end of its link to worker ``j``."""
     mesh: List[Dict[int, socket.socket]] = [{} for _ in range(num_workers)]
     for i in range(num_workers):
@@ -256,8 +235,8 @@ class PeerMesh:
 
 
 class PeerSync:
-    """The worker-driven loop's mail step: the ``sync`` seam a worker
-    passes to :meth:`PartitionedSimulator.run`.
+    """A worker's mail step: the ``sync`` seam it passes to
+    :meth:`PartitionedSimulator.run`.
 
     After each epoch it sends every peer one frame holding this
     worker's owned domains' next-event times, the earliest time of its
@@ -313,9 +292,7 @@ class PeerSync:
         minima = [mail_min]
         if outgoing:
             frames = {
-                peer: pickle.dumps(
-                    (heads, mail_min, mail), protocol=pickle.HIGHEST_PROTOCOL
-                )
+                peer: pack_frame((heads, mail_min, mail))
                 for peer, mail in outgoing.items()
             }
             sent = perf_counter()  # repro: allow-wallclock
@@ -324,7 +301,7 @@ class PeerSync:
             timing["exchange_s"] += arrived - sent
             emulation = self._emulation
             for peer, frame in received.items():
-                peer_heads, peer_min, mail = pickle.loads(frame)
+                peer_heads, peer_min, mail = unpack_frame(frame)
                 for d, t in zip(self._groups[peer], peer_heads):
                     next_times[d] = t
                 minima.append(peer_min)
@@ -461,24 +438,24 @@ def _worker_main(
     conn,
     spec,
     groups: List[List[int]],
-    worker_index: int = 0,
-    heartbeat_interval_s: float = 0.5,
-    peers: Optional[Dict[int, socket.socket]] = None,
+    worker_index: int,
+    heartbeat_interval_s: float,
+    peers: Dict[int, socket.socket],
 ) -> None:
     """One worker: rebuild, then serve commands until 'finish' (or
     'stop', which exits without a reply). ``groups[w]`` lists the
     domains worker ``w`` owns; ``peers`` holds this worker's ends of
-    the peer mesh a worker-driven run exchanges mail over.
+    the peer mesh it exchanges mail over.
 
     A daemon heartbeat thread shares the reply pipe (under a send
     lock) so the supervisor can tell a dead or stopped process from a
     livelocked one; each beat carries the worker's epoch count, so a
-    long single-command run that keeps finishing epochs is told apart
-    from one that makes no progress. Every owned domain folds its
-    native event digest, and every ``done`` reply carries
-    ``{domain: (hexdigest, count)}``, which is what makes crash
-    recovery *verifiable* — the supervisor replays a respawned worker
-    and compares these digests against the pre-crash ones.
+    long run that keeps finishing epochs is told apart from one that
+    makes no progress. Every owned domain folds its native event
+    digest; barrier reports and the ``done`` reply carry ``{domain:
+    (hexdigest, count)}``, which is what makes crash recovery
+    *verifiable* — the supervisor checks a rerun's digests at the last
+    barrier it saw against the recorded ones.
     """
     # A forked worker inherits its parent's whole heap; freezing it
     # keeps the worker's collections (and their pauses, which count
@@ -489,6 +466,8 @@ def _worker_main(
     stop_beating = threading.Event()
     sim = None
     timing = {"compute_s": 0.0, "exchange_s": 0.0, "codec_s": 0.0}
+    #: A command that arrived at a barrier instead of ``go``.
+    halted_by = None
 
     def _send(payload) -> None:
         with send_lock:
@@ -501,76 +480,57 @@ def _worker_main(
             except (OSError, ValueError):
                 return
 
-    if heartbeat_interval_s > 0:
-        threading.Thread(
-            target=_beat, daemon=True, name=f"repro-hb-{worker_index}"
-        ).start()
-    epoch_index = 0
+    def _barrier(epoch: int, horizon: float) -> None:
+        # Observed run: report, then wait for the parent's answer. The
+        # wait counts as exchange time: the mail step's mark moves past
+        # it, so its next call does not charge it as compute.
+        nonlocal halted_by
+        waited = perf_counter()  # repro: allow-wallclock
+        _send(
+            (
+                "barrier",
+                epoch,
+                horizon,
+                sim.router.messages_routed,
+                _domain_digests(sim, owned),
+            )
+        )
+        answer = conn.recv()
+        elapsed = perf_counter() - waited  # repro: allow-wallclock
+        timing["exchange_s"] += elapsed
+        sync._mark += elapsed
+        if answer[0] != "go":
+            # finish or stop: every worker halts at this barrier.
+            halted_by = answer
+            sim.stop()
+
+    threading.Thread(
+        target=_beat, daemon=True, name=f"repro-hb-{worker_index}"
+    ).start()
     try:
         sim, emulation = _build_from_spec(spec)
         for d in owned:
             sim.domains[d].enable_digest()
-        _send(
-            ("ready", {d: sim.domains[d].next_event_time() for d in owned})
-        )
+        _send(("ready",))
         while True:
-            waited = perf_counter()  # repro: allow-wallclock
-            command = conn.recv()
+            command = halted_by or conn.recv()
+            halted_by = None
             op = command[0]
-            if op == "epoch":
-                t0 = perf_counter()  # repro: allow-wallclock
-                timing["exchange_s"] += t0 - waited
-                _, windows, frame = command
-                if frame is not None:
-                    sim.router.inject(
-                        sim.domains,
-                        [
-                            decode_message(m, emulation)
-                            for m in unpack_frame(frame)
-                        ],
-                    )
-                t1 = perf_counter()  # repro: allow-wallclock
-                if sim.fault_hook is not None:
-                    # Barrier-aligned fault application: every worker
-                    # receives the full window list and computes the
-                    # same barrier the serial loop does, so all
-                    # processes mutate link state at identical points.
-                    sim.fault_hook(fault_barrier(windows))
-                for d in owned:
-                    window = windows[d]
-                    if window is not None:
-                        sim.domains[d].run_window(window[0], window[1])
-                t2 = perf_counter()  # repro: allow-wallclock
-                frame = pack_frame(
-                    [encode_message(m) for m in sim.router.take_pending()]
-                )
-                t3 = perf_counter()  # repro: allow-wallclock
-                _send(
-                    (
-                        "done",
-                        {d: sim.domains[d].next_event_time() for d in owned},
-                        frame,
-                        _domain_digests(sim, owned),
-                    )
-                )
-                timing["compute_s"] += t2 - t1
-                timing["codec_s"] += (t1 - t0) + (t3 - t2)
-                timing["exchange_s"] += perf_counter() - t3  # repro: allow-wallclock
-                epoch_index += 1
-            elif op == "run":
-                # Worker-driven loop: every worker runs the serial
-                # partitioned loop over its own domains and swaps mail
-                # with its peers between epochs — the same windows and
-                # injection order, hence byte-identical digests with no
-                # per-epoch round trip through the parent.
-                _, run_until = command
-                if heartbeat_interval_s > 0:
+            if op == "run":
+                # Every worker runs the serial partitioned loop over its
+                # own domains and swaps mail with its peers between
+                # epochs — the same windows and injection order, hence
+                # byte-identical digests.
+                _, run_until, observed = command
+                if observed:
+                    sim.on_epoch = _barrier
+                else:
                     # The loop itself also beats: a busy main thread can
                     # starve the heartbeat thread of the GIL for longer
                     # than an epoch timeout.
                     last_beat = perf_counter()  # repro: allow-wallclock
 
-                    def _progress(_epoch: int, _barrier: float) -> None:
+                    def _progress(_epoch: int, _horizon: float) -> None:
                         nonlocal last_beat
                         now = perf_counter()  # repro: allow-wallclock
                         if now - last_beat >= heartbeat_interval_s:
@@ -578,19 +538,22 @@ def _worker_main(
                             _send(("hb", sim.epochs))
 
                     sim.on_epoch = _progress
-                mesh = PeerMesh(peers or {})
+                mesh = PeerMesh(peers)
                 sync = PeerSync(sim, emulation, groups, worker_index, mesh, timing)
                 sim.run(until=run_until, sync=sync, owned=owned)
                 mesh.close()
-                _send(
-                    (
-                        "done",
-                        {d: sim.domains[d].next_event_time() for d in owned},
-                        (sim.epochs, sim.router.messages_routed - sync.last_batch),
-                        _domain_digests(sim, owned),
+                if halted_by is None:
+                    _send(
+                        (
+                            "done",
+                            {d: sim.domains[d].next_event_time() for d in owned},
+                            (
+                                sim.epochs,
+                                sim.router.messages_routed - sync.last_batch,
+                            ),
+                            _domain_digests(sim, owned),
+                        )
                     )
-                )
-                epoch_index = sim.epochs
             elif op == "finish":
                 _, until = command
                 if until is not None:
@@ -618,9 +581,7 @@ def _worker_main(
                     {
                         "worker": worker_index,
                         "domains": list(owned),
-                        "epoch": max(
-                            epoch_index, sim.epochs if sim is not None else 0
-                        ),
+                        "epoch": sim.epochs if sim is not None else 0,
                         "traceback": traceback.format_exc(),
                     },
                 )
@@ -705,31 +666,40 @@ def run_multiprocess(
     pays a context-switch chain at every barrier); an explicit count is
     honored uncapped. Domains are dealt to workers round-robin; any
     worker count from 1 to ``num_domains`` produces identical digests.
-    Unless chaos or a barrier hook is in play, the workers drive the
-    epoch loop themselves: one ``run`` command, after which they swap
-    mail and next-event times peer to peer and the parent only watches
-    heartbeats until ``finish``. Every worker streams its domains'
+    The workers drive the epoch loop themselves, swapping mail and
+    next-event times peer to peer. Every worker streams its domains'
     native digests (supervision needs them for verified recovery), so
     ``result.composed_digest`` is always set.
 
-    Supervision: on the worker-driven loop a crashed or hung worker
-    stops the whole group, which is respawned with a fresh peer mesh
-    and rerun from the start; on the per-epoch loop the failed worker
-    alone is respawned from the spec and deterministically replayed to
-    the last completed epoch barrier (digest-verified). Both follow
+    ``barrier(epoch_index, horizon, domain_digests, domain_counts,
+    pids=worker_pids)`` (a supervised run's
+    :class:`~repro.resilience.checkpoint.RunBarrier`) fires once per
+    epoch while every worker waits at that barrier; a
+    :class:`~repro.resilience.policy.BudgetExceeded` it raises halts
+    the workers there and ends the run with ``result.outcome ==
+    "aborted"`` and whatever stats the workers could still report.
+    ``chaos_kill=(epoch, worker)`` delivers ``chaos_signal`` to one
+    worker just before that epoch runs — the deterministic
+    fault-injection hook for tests and the ``chaos_recovery``
+    benchmark. Either one makes the run *observed*: the parent
+    releases every epoch barrier in turn; otherwise it only watches
+    heartbeats until ``finish``.
+
+    Supervision: a crashed or hung worker stops the whole group, which
+    is respawned with a fresh peer mesh and rerun from the start; an
+    observed rerun is released silently through the barriers already
+    seen and digest-verified at the last one. Recovery follows
     ``policy``; when retries run out a
     :class:`~repro.resilience.supervisor.SupervisionEscalation`
     propagates so the caller can degrade to the serial backend.
-    ``barrier(epoch_index, horizon, domain_digests, domain_counts,
-    pids=worker_pids)`` fires after every epoch (a supervised run's
-    :class:`~repro.resilience.checkpoint.RunBarrier`); a
-    :class:`~repro.resilience.policy.BudgetExceeded` it raises ends
-    the run early with ``result.outcome == "aborted"`` and whatever
-    stats the workers could still report. ``chaos_kill=(epoch,
-    worker)`` delivers ``chaos_signal`` to one worker just before that
-    epoch — the deterministic fault-injection hook for tests and the
-    ``chaos_recovery`` benchmark.
+    ``heartbeat_interval_s`` and ``epoch_timeout_s`` must be positive.
     """
+    for name, seconds in (
+        ("heartbeat_interval_s", heartbeat_interval_s),
+        ("epoch_timeout_s", epoch_timeout_s),
+    ):
+        if seconds <= 0:
+            raise ValueError(f"{name} must be > 0, got {seconds}")
     sim = scenario.sim
     if getattr(sim, "domains", None) is None or sim.num_domains < 2:
         raise ParallelExecutionError(
@@ -754,23 +724,18 @@ def run_multiprocess(
         workers = max(1, min(num_domains, cpus))
     num_workers = min(workers, num_domains)
     owned = [list(range(w, num_domains, num_workers)) for w in range(num_workers)]
-    owner_of_domain = [d % num_workers for d in range(num_domains)]
 
     result = MultiprocessResult()
     result.workers = num_workers
     ctx = _mp_context()
-
-    # Worker-driven loop unless something must observe every epoch
-    # (a barrier hook) or act at one (chaos).
-    driven = chaos_kill is None and barrier is None
     mesh: List[Dict[int, socket.socket]] = []
 
     def spawn(index: int):
-        if driven and index == 0:
-            # The supervisor (re)launches a worker-driven group whole
-            # and in index order: each launch gets a fresh mesh.
+        if index == 0:
+            # The supervisor (re)launches the group whole and in index
+            # order: each launch gets a fresh mesh.
             mesh[:] = peer_mesh(num_workers)
-        peers = mesh[index] if driven else None
+        peers = mesh[index]
         parent_conn, child_conn = ctx.Pipe()
         proc = ctx.Process(
             target=_worker_main,
@@ -779,7 +744,7 @@ def run_multiprocess(
         )
         proc.start()
         child_conn.close()
-        for sock in (peers or {}).values():
+        for sock in peers.values():
             sock.close()
         return parent_conn, proc
 
@@ -791,58 +756,37 @@ def run_multiprocess(
         heartbeat_interval_s=heartbeat_interval_s,
     )
     stats: List[dict] = []
-    matrix = sim.matrix
     t0 = perf_counter()  # repro: allow-wallclock
     try:
-        next_times: Dict[int, float] = supervisor.start()
+        supervisor.start()
         # Workers are up and rebuilt; everything before this instant is
         # spawn/build cost, reported separately so wall_time_s measures
         # the run phase — the same phase the serial wall clock covers.
         result.spawn_s = perf_counter() - t0  # repro: allow-wallclock
         t0 = perf_counter()  # repro: allow-wallclock
-        if driven:
-            # The workers run the epoch loop among themselves and
-            # report once at the end (final digests arrive with the
-            # stats).
+        if barrier is None and chaos_kill is None:
+            # The workers report once at the end (final digests arrive
+            # with the stats).
             result.epochs, result.messages_routed = supervisor.run_all(until)[2]
         else:
-            pending: List[DomainMessage] = []
             while True:
-                eff_next = [
-                    next_times.get(d, INFINITY) for d in range(num_domains)
-                ]
-                for message in pending:
-                    if message.time < eff_next[message.dst_domain]:
-                        eff_next[message.dst_domain] = message.time
-                windows = epoch_windows(eff_next, matrix, until)
-                if windows is None:
-                    break
-                horizon = fault_barrier(windows)
-                pending.sort(key=lambda m: (m.time, m.src_domain, m.seq))
-                slices: List[List[DomainMessage]] = [
-                    [] for _ in range(num_workers)
-                ]
-                for message in pending:
-                    slices[owner_of_domain[message.dst_domain]].append(message)
-                result.messages_routed += len(pending)
-                pending = []
-                frames = [pack_frame(messages) for messages in slices]
                 if (
                     chaos_kill is not None
                     and supervisor.epoch_index == chaos_kill[0]
                 ):
                     supervisor.kill(chaos_kill[1] % num_workers, chaos_signal)
-                replies = supervisor.run_epoch(windows, frames)
-                for reply in replies:
-                    next_times.update(reply[1])
-                    pending.extend(unpack_frame(reply[2]))
-                    for d, (digest, count) in reply[3].items():
-                        result.domain_digests[d] = digest
-                        result.domain_digest_events[d] = count
-                result.epochs += 1
+                report = supervisor.run_epoch(until)
+                if report[0] == "done":
+                    result.epochs, result.messages_routed = report[2]
+                    break
+                _, epoch, horizon, routed, digests = report
+                result.epochs, result.messages_routed = epoch + 1, routed
+                for d, (digest, count) in digests.items():
+                    result.domain_digests[d] = digest
+                    result.domain_digest_events[d] = count
                 if barrier is not None:
                     barrier(
-                        result.epochs - 1,
+                        epoch,
                         horizon,
                         dict(result.domain_digests),
                         dict(result.domain_digest_events),

@@ -1,27 +1,31 @@
 """WorkerSupervisor: heartbeats, failure typing, deterministic recovery.
 
-The multiprocess backend (:mod:`repro.engine.parallel`) drives its
-workers one of two ways.
+The multiprocess backend (:mod:`repro.engine.parallel`) starts one
+worker per domain group and sends every worker one ``("run", until,
+observed)`` command: the workers drive the epoch loop themselves and
+exchange mail with their peers directly. On a plain run
+(:meth:`WorkerSupervisor.run_all`) the supervisor then only waits for
+the ``done`` replies; heartbeats carry each worker's epoch count, so
+the epoch timeout still bounds one epoch. On an *observed* run
+(:meth:`WorkerSupervisor.run_epoch`) every worker stops at each epoch
+barrier and reports ``("barrier", epoch, horizon, messages_routed,
+digests)``; the supervisor gathers the reports and releases the
+barrier with ``("go",)`` on the next call.
 
-On the per-epoch loop the parent is a lockstep epoch barrier: it
-broadcasts ``("epoch", windows, mail_frame)`` commands and every worker
-must answer with ``("done", next_times, outbox, digests)``. That
-protocol makes supervision simple — a worker is healthy iff it answers
-the current command within the epoch timeout — and makes recovery
-*provably* correct:
+The workers depend on each other, so any failure stops the whole
+group, which is respawned (with a fresh peer mesh) and rerun. Recovery
+is *provably* correct:
 
 * builds are deterministic (the ``repro.check`` contract), so a
   respawned worker rebuilt from the same picklable ``ScenarioSpec`` is
-  an identical object graph;
-* the parent already stores, per epoch, exactly the inputs a worker
-  consumed (the epoch window plus that worker's cross-domain message
-  slice) because *it* produced them; replaying that history drives the
-  rebuilt worker through the same event stream event-for-event;
-* every ``done`` reply carries streaming per-domain digests, so after
-  replay the supervisor compares the rebuilt worker's digests against
-  the ones recorded before the crash. A mismatch is a
-  :class:`WorkerDesync` — recovery refuses to continue from a state it
-  cannot prove equal to the pre-crash one.
+  an identical object graph, and the rerun retraces the lost run
+  event-for-event;
+* on an observed run the rerun is released silently through every
+  barrier already seen (the barrier hook does not fire again), and
+  its per-domain ``(digest, event count)`` at the last one must equal
+  the recorded values. A mismatch is a :class:`WorkerDesync` —
+  recovery refuses to continue from a state it cannot prove equal to
+  the pre-crash one.
 
 Failures are typed: :class:`WorkerCrash` (process died / pipe broke /
 worker reported a traceback), :class:`WorkerHang` (alive but silent
@@ -29,14 +33,6 @@ past the epoch timeout — the heartbeat thread distinguishes a wedged
 process from a livelocked one), :class:`WorkerDesync` (replay digest
 mismatch). Each carries the worker id, its domain group, the epoch
 index, and the original traceback when one exists.
-
-On the worker-driven loop (:meth:`WorkerSupervisor.run_all`) one
-``("run", until)`` command sends every worker through the whole epoch
-loop, exchanging mail with its peers directly; heartbeats carry each
-worker's epoch count, so the epoch timeout still bounds one epoch. The
-workers depend on each other, so any failure stops the whole group,
-which is respawned (with a fresh peer mesh) and re-issued the run: the
-deterministic rerun is the replay.
 
 Retries follow the
 :class:`~repro.resilience.policy.RetryPolicy`; when attempts run out a
@@ -145,30 +141,15 @@ class SupervisionEscalation(ResilienceError):
 class WorkerHandle:
     """Parent-side state for one worker process."""
 
-    __slots__ = (
-        "index",
-        "domains",
-        "conn",
-        "proc",
-        "completed",
-        "progress",
-        "last_digests",
-        "next_times",
-    )
+    __slots__ = ("index", "domains", "conn", "proc", "progress")
 
     def __init__(self, index: int, domains: Sequence[int]) -> None:
         self.index = index
         self.domains = list(domains)
         self.conn = None
         self.proc = None
-        #: Epochs this worker has completed (answered "done" for).
-        self.completed = 0
-        #: Epochs its heartbeats report finished in a ``run`` command.
+        #: Epochs its heartbeats report finished in this launch's run.
         self.progress = 0
-        #: ``{domain: (hexdigest, event_count)}`` from the latest
-        #: completed epoch — the recovery ground truth.
-        self.last_digests: Optional[Dict[int, Tuple[str, int]]] = None
-        self.next_times: Dict[int, float] = {}
 
     @property
     def pid(self) -> Optional[int]:
@@ -188,7 +169,7 @@ def _wait(conns: List[Any], timeout: float) -> List[Any]:
 
 
 class WorkerSupervisor:
-    """Drives a fleet of epoch workers with recovery and replay.
+    """Drives a group of peer-to-peer epoch workers with recovery.
 
     ``spawn(index)`` must start worker ``index`` and return
     ``(connection, process)``; the supervisor owns both afterwards.
@@ -207,15 +188,14 @@ class WorkerSupervisor:
         self.epoch_timeout_s = float(epoch_timeout_s)
         self.heartbeat_interval_s = float(heartbeat_interval_s)
         self.workers = [WorkerHandle(i, group) for i, group in enumerate(owned)]
-        #: Per-epoch command history: ``(payload, frames)`` with one
-        #: mail frame per worker — the full replay input. The payload
-        #: (the per-domain window vector) is broadcast; frames are
-        #: per-worker opaque bytes the executor encoded (kept as-is so
-        #: replay resends byte-identical commands without re-pickling).
-        self._history: List[Tuple[Any, List[Any]]] = []
-        #: The worker-driven ``run`` command once issued: a group
-        #: restart during ``finish`` must rerun it first.
-        self._run: Optional[Tuple[str, Any]] = None
+        # What a group restart replays: the run command once issued,
+        # how many barriers the workers reported, the merged
+        # ``{domain: (hexdigest, event_count)}`` at the last one (the
+        # recovery ground truth) and whether the run has finished.
+        self._run: Optional[Tuple[Any, ...]] = None
+        self._barriers = 0
+        self._barrier_digests: Dict[int, Tuple[str, int]] = {}
+        self._run_done = False
         # Counters surfaced as resilience.* metrics.
         self.heartbeats_missed = 0
         self.workers_restarted = 0
@@ -225,16 +205,14 @@ class WorkerSupervisor:
 
     @property
     def epoch_index(self) -> int:
-        """Index of the epoch in flight: the recorded barriers on the
-        per-epoch loop, the furthest heartbeat-reported epoch on a
-        worker-driven run."""
-        return max(len(self._history), *(h.progress for h in self.workers))
+        """Index of the epoch in flight: the barriers reported so far,
+        or the furthest heartbeat-reported epoch when that is ahead."""
+        return max(self._barriers, *(h.progress for h in self.workers))
 
-    def start(self) -> Dict[int, float]:
-        """Spawn every worker, await readiness, return merged
-        per-domain next event times. A worker that fails to come up
-        restarts the whole group: nothing has run yet, and workers of a
-        worker-driven run share one peer mesh."""
+    def start(self) -> None:
+        """Spawn every worker and await readiness. A worker that fails
+        to come up restarts the whole group: the workers share one
+        peer mesh."""
         for handle in self.workers:
             self._launch(handle)
         try:
@@ -242,35 +220,34 @@ class WorkerSupervisor:
                 self._ready(handle)
         except WorkerFailure as failure:
             self._restart_group(failure)
-        next_times: Dict[int, float] = {}
-        for handle in self.workers:
-            next_times.update(handle.next_times)
-        return next_times
 
-    def run_epoch(self, payload: Any, frames: List[Any]):
-        """Broadcast one epoch to every worker; recover any that fail.
+    def run_epoch(self, until):
+        """One step of an observed run: release the workers — the first
+        call issues ``("run", until, True)``, later ones answer the
+        barrier they wait at with ``("go",)`` — then gather what they
+        report next.
 
-        ``payload`` is shared by all workers (the per-domain window
-        vector); ``frames[i]`` is worker ``i``'s private mail frame.
-        Returns the list of ``("done", next_times, outbox_frame,
-        digests)`` replies, indexed by worker.
+        Returns ``("barrier", epoch, horizon, messages_routed,
+        digests)`` merged over the workers (the summed message count
+        and the union of their ``{domain: (hexdigest, count)}``), or,
+        once the run is over, the merged ``done`` reply of
+        :meth:`run_all`.
         """
-        self._history.append((payload, frames))
-        replies = self._broadcast([("epoch", payload, frame) for frame in frames])
-        for handle, reply in zip(self.workers, replies):
-            handle.completed += 1
-            handle.next_times = dict(reply[1])
-            handle.last_digests = dict(reply[3])
-        return replies
+        command = ("go",) if self._run is not None else ("run", until, True)
+        replies = self._command(command)
+        if replies[0][0] != "barrier":
+            return self._merge_done(replies)
+        self._barriers += 1
+        self._barrier_digests = _barrier_digests(replies)
+        routed = sum(reply[3] for reply in replies)
+        return ("barrier", replies[0][1], replies[0][2], routed,
+                self._barrier_digests)
 
     def run_all(self, until, timeout_s: Optional[float] = None):
-        """Worker-driven loop: one ``("run", until)`` command has every
+        """A plain run: one ``("run", until, False)`` command has every
         worker drive its own epoch loop to ``until``, swapping mail and
-        next-event times with its peers — no per-epoch parent barrier.
+        next-event times with its peers — no barrier round trips.
 
-        The epoch history stays empty. Any failure stops the whole
-        group, respawns it and re-issues the run (see
-        :meth:`_restart_group`); the deterministic rerun is the replay.
         The wait is bounded per finished epoch, not for the whole run
         (see :meth:`_gather`): a long healthy run completes, while a
         wedged or livelocked worker still raises :class:`WorkerHang`.
@@ -279,34 +256,13 @@ class WorkerSupervisor:
         union of their per-domain maps, the common epoch count and the
         summed message count.
         """
-        command = self._run = ("run", until)
-        try:
-            replies = self._issue(command, timeout_s)
-        except WorkerFailure as failure:
-            replies = self._restart_group(failure, command, timeout_s=timeout_s)
-        next_times: Dict[int, float] = {}
-        digests: Dict[int, Tuple[str, int]] = {}
-        epochs = routed = 0
-        for handle, reply in zip(self.workers, replies):
-            handle.next_times = dict(reply[1])
-            handle.last_digests = dict(reply[3])
-            next_times.update(reply[1])
-            digests.update(reply[3])
-            epochs = max(epochs, reply[2][0])
-            routed += reply[2][1]
-        return ("done", next_times, (epochs, routed), digests)
+        return self._merge_done(self._command(("run", until, False), timeout_s))
 
     def finish(self, until) -> List[dict]:
-        """Send the final command; returns per-worker stats dicts."""
-        command = ("finish", until)
-        if self._run is None:
-            replies = self._broadcast([command] * len(self.workers))
-        else:
-            try:
-                replies = self._issue(command)
-            except WorkerFailure as failure:
-                replies = self._restart_group(failure, self._run, command)
-        return [reply[1] for reply in replies]
+        """Send the final command — ``("finish", until)`` after the
+        run, or ``("finish", None)`` to halt an observed run at the
+        barrier it waits at; returns per-worker stats dicts."""
+        return [reply[1] for reply in self._command(("finish", until))]
 
     def shutdown(self) -> None:
         """Stop and reap every worker process.
@@ -329,10 +285,14 @@ class WorkerSupervisor:
             self._reap(handle, join_timeout_s=_STOP_JOIN_S)
 
     def kill(self, worker: int, sig: int = signal.SIGKILL) -> None:
-        """Deliver ``sig`` to a worker — the chaos-injection hook."""
+        """Deliver ``sig`` to a worker — the chaos-injection hook. A
+        SIGKILL is awaited, so the next command finds that worker dead
+        rather than racing its peers' reports of the broken mesh."""
         handle = self.workers[worker]
         if handle.proc is not None and handle.proc.pid is not None:
             os.kill(handle.proc.pid, sig)
+            if sig == signal.SIGKILL:
+                handle.proc.join(timeout=_STOP_JOIN_S)
 
     def pids(self) -> List[int]:
         return [h.proc.pid for h in self.workers if h.proc is not None]
@@ -352,7 +312,6 @@ class WorkerSupervisor:
                 self.epoch_index,
                 detail=f"expected 'ready', got {reply[0]!r}",
             )
-        handle.next_times = dict(reply[1])
 
     def _send(self, handle: WorkerHandle, command) -> None:
         try:
@@ -364,31 +323,6 @@ class WorkerSupervisor:
                 self.epoch_index,
                 detail=f"pipe write failed: {exc!r}",
             ) from exc
-
-    def _broadcast(self, commands: List[Any]) -> List[Any]:
-        """Send ``commands[i]`` to worker ``i``, then collect every
-        reply; a failed worker is recovered and re-issued its command.
-        All workers are told before any is awaited, so they compute
-        in parallel."""
-        replies: List[Any] = [None] * len(self.workers)
-        for handle in self.workers:
-            command = commands[handle.index]
-            try:
-                self._send(handle, command)
-            except WorkerFailure as failure:
-                replies[handle.index] = self._handle_failure(
-                    handle, failure, resend=command
-                )
-        for handle in self.workers:
-            if replies[handle.index] is not None:
-                continue
-            try:
-                replies[handle.index] = self._recv(handle)
-            except WorkerFailure as failure:
-                replies[handle.index] = self._handle_failure(
-                    handle, failure, resend=commands[handle.index]
-                )
-        return replies
 
     def _check_alive(self, handle: WorkerHandle) -> None:
         """Raise :class:`WorkerCrash` if the worker process has died."""
@@ -402,10 +336,34 @@ class WorkerSupervisor:
 
     def _issue(self, command, timeout_s: Optional[float] = None) -> List[Any]:
         """Send one ``command`` to every worker, then gather every
-        reply; any failure propagates (the group is recovered whole)."""
+        reply; any failure propagates. All workers are told before any
+        is awaited."""
         for handle in self.workers:
             self._send(handle, command)
         return self._gather(self.workers, timeout_s)
+
+    def _command(self, command, timeout_s: Optional[float] = None) -> List[Any]:
+        """:meth:`_issue` ``command``, recovering the whole group if any
+        worker fails (see :meth:`_restart_group`)."""
+        if command[0] == "run":
+            self._run = command
+        try:
+            return self._issue(command, timeout_s)
+        except WorkerFailure as failure:
+            return self._restart_group(failure, command, timeout_s)
+
+    def _merge_done(self, replies: List[Any]):
+        """One ``done`` reply from every worker's: see :meth:`run_all`."""
+        self._run_done = True
+        next_times: Dict[int, float] = {}
+        digests: Dict[int, Tuple[str, int]] = {}
+        epochs = routed = 0
+        for reply in replies:
+            next_times.update(reply[1])
+            digests.update(reply[3])
+            epochs = max(epochs, reply[2][0])
+            routed += reply[2][1]
+        return ("done", next_times, (epochs, routed), digests)
 
     def _recv(self, handle: WorkerHandle, timeout_s: Optional[float] = None):
         """Receive ``handle``'s next non-heartbeat reply (see
@@ -429,11 +387,9 @@ class WorkerSupervisor:
         Heartbeats carry the worker's epoch count. A beat whose count
         exceeds every count that worker reported so far in this wait
         (starting from 0, so the first beat of a run already counts)
-        restarts its deadline, so the timeout bounds one epoch: a
-        ``("run", until)`` command that keeps finishing epochs is waited
-        out, while a worker that beats without finishing one (livelock)
-        still hangs. A worker serving per-epoch commands never advances
-        the count.
+        restarts its deadline, so the timeout bounds one epoch: a run
+        that keeps finishing epochs is waited out, while a worker that
+        beats without finishing one (livelock) still hangs.
         """
         timeout_s = self.epoch_timeout_s if timeout_s is None else timeout_s
         waiting = {id(handle.conn): handle for handle in handles}
@@ -506,8 +462,7 @@ class WorkerSupervisor:
         return [replies[handle.index] for handle in handles]
 
     def _note_progress(self, handle: WorkerHandle, epochs: int) -> None:
-        """A heartbeat reported ``epochs`` finished epochs of a ``run``
-        command."""
+        """A heartbeat reported ``epochs`` finished epochs of the run."""
         handle.progress = epochs
 
     # -- recovery ------------------------------------------------------
@@ -537,28 +492,18 @@ class WorkerSupervisor:
         }
         raise escalation from last
 
-    def _handle_failure(self, handle: WorkerHandle, failure: WorkerFailure, resend):
-        """Recover ``handle`` alone per the retry policy: respawn it,
-        replay the epoch history, and re-issue ``resend`` (the in-flight
-        command, or ``None`` for none); returns its reply."""
-
-        def attempt():
-            self._respawn(handle)
-            self._replay(handle)
-            if resend is None:
-                return None
-            self._send(handle, resend)
-            return self._recv(handle)
-
-        return self._retry(failure, attempt)
-
-    def _restart_group(self, failure: WorkerFailure, *commands,
+    def _restart_group(self, failure: WorkerFailure, command=None,
                        timeout_s: Optional[float] = None):
-        """Recover the whole group per the retry policy: stop every
-        worker, respawn all in index order (the executor gives each
-        launch a fresh peer mesh), then issue ``commands`` in turn to
-        every worker. Returns the last command's replies (``None``
-        without commands)."""
+        """Recover the whole group per the retry policy, then issue
+        ``command`` (the one in flight, if any) and return its replies.
+
+        Every worker is stopped and all are respawned in index order
+        (the executor gives each launch a fresh peer mesh). Unless the
+        command in flight is the run itself, the group is then replayed
+        to where it failed: the run command is reissued and every
+        barrier already seen is released silently (the barrier hook
+        does not fire again), and the rerun's digests at the last one
+        must equal the recorded ones (:meth:`_verify`)."""
 
         def attempt():
             for handle in self.workers:
@@ -568,58 +513,33 @@ class WorkerSupervisor:
                 self._launch(handle)
             for handle in self.workers:
                 self._ready(handle)
-            replies = None
-            for command in commands:
-                replies = self._issue(command, timeout_s)
-            return replies
+            if self._run is not None and command is not self._run:
+                replies = self._issue(self._run, timeout_s)
+                for _ in range(self._barriers - 1):
+                    replies = self._issue(("go",), timeout_s)
+                if self._barriers:
+                    self._verify(replies)
+                    if self._run_done:
+                        self._issue(("go",), timeout_s)
+            return None if command is None else self._issue(command, timeout_s)
 
         return self._retry(failure, attempt)
 
-    def _respawn(self, handle: WorkerHandle) -> None:
-        self._reap(handle, join_timeout_s=0.0)
-        self.workers_restarted += 1
-        self._launch(handle)
-        self._ready(handle)
-
-    def _replay(self, handle: WorkerHandle) -> None:
-        """Drive a freshly rebuilt worker back to the last completed
-        epoch barrier, then digest-verify it against pre-crash state.
-
-        Replayed outboxes are discarded — the parent routed them the
-        first time around — and the digests of the final replayed epoch
-        must match ``handle.last_digests`` exactly, or recovery stops
-        with :class:`WorkerDesync`.
-        """
-        digests: Optional[Dict[int, Tuple[str, int]]] = None
-        for payload, frames in self._history[: handle.completed]:
-            self._send(
-                handle, ("epoch", payload, frames[handle.index])
-            )
-            reply = self._recv(handle)
-            handle.next_times = dict(reply[1])
-            digests = dict(reply[3])
-        if handle.completed == 0 or handle.last_digests is None:
-            return
-        expected = {d: h for d, (h, _) in handle.last_digests.items()}
-        actual = {d: h for d, (h, _) in (digests or {}).items()}
-        bad = diff_domain_digests(expected, actual)
-        counts_expected = {d: n for d, (_, n) in handle.last_digests.items()}
-        counts_actual = {d: n for d, (_, n) in (digests or {}).items()}
-        if not bad and counts_expected != counts_actual:
-            bad = sorted(
-                d
-                for d in counts_expected
-                if counts_expected.get(d) != counts_actual.get(d)
-            )
+    def _verify(self, replies: List[Any]) -> None:
+        """Check a rerun's reports at the last barrier seen against the
+        recorded ones: any domain whose ``(digest, event count)``
+        differs is a :class:`WorkerDesync`."""
+        bad = diff_domain_digests(self._barrier_digests, _barrier_digests(replies))
         if bad:
+            handle = next(h for h in self.workers if bad[0] in h.domains)
             raise WorkerDesync(
                 handle.index,
                 handle.domains,
-                handle.completed - 1,
+                self._barriers - 1,
                 detail=(
-                    "replay digests diverged for domain(s) "
-                    f"{bad} after rebuild — refusing to resume from an "
-                    "unverifiable state"
+                    f"replay digests diverged for domain(s) {bad} after "
+                    "rebuild — refusing to resume from an unverifiable "
+                    "state"
                 ),
             )
 
@@ -642,3 +562,13 @@ class WorkerSupervisor:
             proc.kill()
             proc.join(timeout=5.0)
         handle.proc = None
+
+
+def _barrier_digests(replies: List[Any]) -> Dict[int, Tuple[str, int]]:
+    """The union of the workers' barrier reports' ``{domain: (hexdigest,
+    event_count)}`` (a reply that is no barrier report adds nothing)."""
+    digests: Dict[int, Tuple[str, int]] = {}
+    for reply in replies:
+        if reply[0] == "barrier":
+            digests.update(reply[4])
+    return digests

@@ -174,6 +174,87 @@ def test_partitioned_serial_checkpoints_at_epoch_barriers(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# The barrier hook sees the same barriers on every backend
+# ----------------------------------------------------------------------
+
+#: ``(backend, workers)`` legs of the cross-backend barrier pins.
+BARRIER_BACKENDS = [
+    pytest.param("serial", None, id="serial"),
+    pytest.param("multiprocess", 1, id="multiprocess-1"),
+    pytest.param("multiprocess", 2, id="multiprocess-2"),
+    pytest.param("multiprocess", 3, id="multiprocess-3"),
+]
+
+
+@pytest.mark.parametrize("backend,workers", BARRIER_BACKENDS)
+def test_budget_abort_stops_at_the_same_barrier_on_every_backend(
+    backend, workers
+):
+    scenario = _ring_scenario(backend, workers=workers).resilience(
+        max_events=200,
+    )
+    with pytest.raises(RunAborted) as info:
+        scenario.run(until=RING_UNTIL)
+    metrics = info.value.report.metrics
+    assert metrics["run.outcome"] == "aborted{reason=max_events}"
+    assert metrics["run.events"] == 223
+    assert metrics["run.digest"] == (
+        "e7db9e54adc2d17e9c1a2e2575ad5278f1109d7a48029c03f84f8f27db840892"
+    )
+
+
+@pytest.mark.parametrize(
+    "backend,workers,chaos_kill",
+    [
+        *(
+            pytest.param(*param.values, None, id=param.id)
+            for param in BARRIER_BACKENDS
+        ),
+        *(
+            pytest.param(*param.values, (5, 0), id=f"{param.id}-killed")
+            for param in BARRIER_BACKENDS[1:]
+        ),
+    ],
+)
+def test_checkpoints_land_on_the_same_barriers_on_every_backend(
+    tmp_path, monkeypatch, backend, workers, chaos_kill
+):
+    """The hook fires once per epoch, in order, and writes the same
+    checkpoints on every backend. A worker killed mid-run changes
+    nothing the hook sees: recovery replays the barriers already seen
+    without calling it again."""
+    from repro.resilience import RunBarrier
+
+    seen = []
+    call = RunBarrier.__call__
+
+    def recording_call(self, epoch, *args, **kwargs):
+        seen.append(epoch)
+        return call(self, epoch, *args, **kwargs)
+
+    monkeypatch.setattr(RunBarrier, "__call__", recording_call)
+    path = str(tmp_path / "ring.ckpt")
+    scenario = _ring_scenario(backend, workers=workers).resilience(
+        checkpoint_every=RING_UNTIL / 4, checkpoint=path,
+        chaos_kill=chaos_kill, retries=1,
+    )
+    scenario._resilience.backoff_base_s = 0.0
+    report = scenario.run(until=RING_UNTIL)
+    digest = "443f4808d15f83474c860caf18add16f7dbc7d529adadd582fb98d52ad6719f7"
+    assert report.metrics["run.outcome"] == "completed"
+    assert report.metrics["run.digest"] == digest
+    assert report.metrics["resilience.checkpoints_written"] == 4
+    assert seen == list(range(15))
+    checkpoint = load_checkpoint(path)
+    assert checkpoint.barrier_time == pytest.approx(RING_UNTIL)
+    assert checkpoint.epoch == 14
+    assert checkpoint.digest == digest
+    if chaos_kill is not None:
+        # The whole group restarts.
+        assert report.metrics["resilience.workers_restarted"] == workers
+
+
+# ----------------------------------------------------------------------
 # Budget guards
 # ----------------------------------------------------------------------
 
@@ -211,6 +292,29 @@ def test_multiprocess_budget_abort_reaps_workers():
     for counter in COUNTERS:
         assert counter in report.metrics, counter
     assert len(multiprocessing.active_children()) <= before
+
+
+@pytest.mark.parametrize(
+    "knob", ["heartbeat_interval_s", "epoch_timeout_s"]
+)
+@pytest.mark.parametrize("value", [0, -1.0])
+def test_non_positive_supervision_interval_is_rejected(knob, value):
+    """Both must be positive: with a zero heartbeat interval the parent
+    busy-polls and a plain run sends no heartbeats at all, so it is
+    declared hung; a zero epoch timeout declares every worker hung at
+    once."""
+    scenario = _ring_scenario("multiprocess", workers=2)
+    scenario.build()
+    with pytest.raises(ValueError, match=knob):
+        run_multiprocess(scenario, until=RING_UNTIL, **{knob: value})
+
+
+def test_zero_heartbeat_interval_is_rejected_on_a_supervised_run():
+    scenario = _ring_scenario("multiprocess", workers=2).resilience(
+        heartbeat_interval=0,
+    )
+    with pytest.raises(ValueError, match="heartbeat_interval_s"):
+        scenario.run(until=RING_UNTIL)
 
 
 # ----------------------------------------------------------------------

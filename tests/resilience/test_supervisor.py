@@ -71,10 +71,11 @@ def fast_policy(attempts=2):
 
 
 def make_supervisor(spawn, **kwargs):
+    kwargs.setdefault("owned", [[0, 1]])
     kwargs.setdefault("policy", fast_policy())
     kwargs.setdefault("epoch_timeout_s", 0.2)
     kwargs.setdefault("heartbeat_interval_s", 0.05)
-    return WorkerSupervisor(spawn, owned=[[0, 1]], **kwargs)
+    return WorkerSupervisor(spawn, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -221,80 +222,96 @@ def test_failures_carry_worker_domains_and_epoch():
 
 
 # ----------------------------------------------------------------------
-# Recovery: respawn + replay + escalation
+# Recovery: group restart + barrier replay + escalation
 # ----------------------------------------------------------------------
 
-def test_recovery_replays_history_and_resends_inflight_command():
-    """After a crash the respawned worker must see: ready handshake,
-    every completed epoch (digest-identical), then the in-flight
-    command again."""
-    digests = {0: ("d0", 5), 1: ("d1", 6)}
-    respawned = FakeConn([
-        ("ready", {0: 0.1, 1: 0.2}),
-        ("done", {0: 0.3, 1: 0.4}, [], digests),   # replayed epoch 0
-        ("done", {0: 0.5, 1: 0.6}, [], digests),   # re-sent in-flight epoch
-    ])
-    supervisor = make_supervisor(lambda i: (respawned, FakeProc()))
-    handle = supervisor.workers[0]
-    handle.conn, handle.proc = FakeConn(), FakeProc(alive=False)
-    handle.completed = 1
-    handle.last_digests = dict(digests)
-    # History entries are (payload, frames): the broadcast window
-    # vector plus one pre-pickled mail frame per worker.
-    supervisor._history.append(([(0.3, False)], [b"m0"]))
-    inflight = ("epoch", [(0.5, False)], b"m1")
-    failure = WorkerCrash(0, [0, 1], 1, detail="killed")
-    reply = supervisor._handle_failure(handle, failure, resend=inflight)
-    assert reply[0] == "done"
-    assert supervisor.workers_restarted == 1
+def scripted_launches(*scripts):
+    """A spawn whose successive launches get the given reply scripts
+    (live processes); returns the spawn and the conns it handed out."""
+    conns = [FakeConn(script) for script in scripts]
+    queue = list(conns)
+    return (lambda index: (queue.pop(0), FakeProc())), conns
+
+
+def barrier(epoch, digests, routed=0):
+    return ("barrier", epoch, 0.1 * (epoch + 1), routed, digests)
+
+
+@pytest.fixture
+def fake_wait(monkeypatch):
+    """A multi-worker wait over fake pipe ends (the real one selects on
+    file descriptors)."""
+    monkeypatch.setattr(
+        "repro.resilience.supervisor._wait",
+        lambda conns, timeout: [conn for conn in conns if conn.poll(0)],
+    )
+
+
+def crash_after_two_barriers(replayed_barrier_1, policy=None):
+    """Worker 0 of a 2-worker observed run dies when released from
+    barrier 1; the group restart replays barriers 0 and 1 (the second
+    with ``replayed_barrier_1``'s digests for worker 0) and the
+    in-flight barrier 2. Returns (supervisor, first launches,
+    relaunches). Needs the ``fake_wait`` fixture."""
+    d0 = {0: ("a0", 3)}
+    d1 = {1: ("b0", 4)}
+    spawn, conns = scripted_launches(
+        [("ready",), barrier(0, d0), barrier(1, {0: ("a1", 7)}),
+         EOFError("killed")],
+        [("ready",), barrier(0, d1), barrier(1, {1: ("b1", 8)})],
+        [("ready",), barrier(0, d0), barrier(1, replayed_barrier_1),
+         barrier(2, {0: ("a2", 9)})],
+        [("ready",), barrier(0, d1), barrier(1, {1: ("b1", 8)}),
+         barrier(2, {1: ("b2", 9)})],
+    )
+    supervisor = make_supervisor(
+        spawn, owned=[[0], [1]], policy=policy or fast_policy()
+    )
+    supervisor.start()
+    assert supervisor.run_epoch(1.0)[1] == 0
+    assert supervisor.run_epoch(1.0)[1] == 1
+    return supervisor, conns[:2], conns[2:]
+
+
+def test_recovery_replays_observed_barriers_and_resends_inflight_command(
+    fake_wait,
+):
+    """After a crash every worker is relaunched and must see: ready
+    handshake, the run command, one release per barrier observed
+    before the crash, then the in-flight release again — whose replies
+    are what the caller gets."""
+    supervisor, first, relaunched = crash_after_two_barriers({0: ("a1", 7)})
+    report = supervisor.run_epoch(1.0)
+    assert report[0] == "barrier" and report[1] == 2
+    assert report[4] == {0: ("a2", 9), 1: ("b2", 9)}
+    assert supervisor.workers_restarted == 2
     assert supervisor.retries == 1
-    # Replay first, then the in-flight command, in order.
-    assert respawned.sent == [("epoch", [(0.3, False)], b"m0"), inflight]
+    run = ("run", 1.0, True)
+    for conn in first:
+        assert conn.sent == [run, ("go",), ("go",)]
+    for conn in relaunched:
+        # Replay first (run, release barrier 0), then the in-flight
+        # release of barrier 1, in order.
+        assert conn.sent == [run, ("go",), ("go",)]
 
 
-def test_replay_digest_mismatch_is_a_desync():
-    good = {0: ("d0", 5), 1: ("d1", 6)}
-    bad = {0: ("DIFFERENT", 5), 1: ("d1", 6)}
-    respawned = FakeConn([
-        ("ready", {0: 0.1, 1: 0.2}),
-        ("done", {0: 0.3, 1: 0.4}, [], bad),
-    ])
-    supervisor = make_supervisor(
-        lambda i: (respawned, FakeProc()), policy=fast_policy(attempts=1)
+def test_replay_digest_mismatch_is_a_desync(fake_wait):
+    supervisor, _, _ = crash_after_two_barriers(
+        {0: ("DIFFERENT", 7)}, policy=fast_policy(attempts=1)
     )
-    handle = supervisor.workers[0]
-    handle.conn, handle.proc = FakeConn(), FakeProc(alive=False)
-    handle.completed = 1
-    handle.last_digests = good
-    supervisor._history.append(([(0.3, False)], [b"m0"]))
     with pytest.raises(SupervisionEscalation) as info:
-        supervisor._handle_failure(
-            handle, WorkerCrash(0, [0, 1], 1),
-            resend=("epoch", [(0.5, False)], None),
-        )
+        supervisor.run_epoch(1.0)
     assert isinstance(info.value.last, WorkerDesync)
+    assert info.value.last.worker == 0
+    assert info.value.last.epoch == 1
 
 
-def test_replay_event_count_mismatch_is_a_desync():
-    good = {0: ("d0", 5)}
-    same_digest_wrong_count = {0: ("d0", 99)}
-    respawned = FakeConn([
-        ("ready", {0: 0.1}),
-        ("done", {0: 0.3}, [], same_digest_wrong_count),
-    ])
-    supervisor = make_supervisor(
-        lambda i: (respawned, FakeProc()), policy=fast_policy(attempts=1)
+def test_replay_event_count_mismatch_is_a_desync(fake_wait):
+    supervisor, _, _ = crash_after_two_barriers(
+        {0: ("a1", 99)}, policy=fast_policy(attempts=1)
     )
-    handle = supervisor.workers[0]
-    handle.conn, handle.proc = FakeConn(), FakeProc(alive=False)
-    handle.completed = 1
-    handle.last_digests = good
-    supervisor._history.append(([(0.3, False)], [None]))
     with pytest.raises(SupervisionEscalation) as info:
-        supervisor._handle_failure(
-            handle, WorkerCrash(0, [0, 1], 1),
-            resend=("epoch", [(0.5, False)], None),
-        )
+        supervisor.run_epoch(1.0)
     assert isinstance(info.value.last, WorkerDesync)
 
 
@@ -306,12 +323,8 @@ def test_escalation_counts_every_attempt_and_carries_counters():
         lambda i: (FakeConn(), FakeProc(alive=False)),
         policy=fast_policy(attempts=3),
     )
-    handle = supervisor.workers[0]
-    handle.conn, handle.proc = FakeConn(), FakeProc(alive=False)
     with pytest.raises(SupervisionEscalation) as info:
-        supervisor._handle_failure(
-            handle, WorkerCrash(0, [0, 1], 0), resend=None
-        )
+        supervisor.start()
     escalation = info.value
     assert escalation.attempts == 3
     assert supervisor.retries == 3
