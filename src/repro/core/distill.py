@@ -233,8 +233,7 @@ def distill(
     # and no mesh reachability) are dropped for cleanliness.
     for node_id in sorted(interior):
         if distilled.degree(node_id) == 0:
-            del distilled.nodes[node_id]
-            del distilled._adjacency[node_id]
+            distilled.remove_node(node_id)
 
     return DistillationResult(
         distilled,

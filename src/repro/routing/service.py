@@ -149,14 +149,22 @@ class CachedRouting(RoutingService):
     (:class:`ShortestPathSearch`). A lookup resumes it only until the
     destination is settled, so a source's cost is the part of the
     graph nearer than its farthest destination, and a repeated pair
-    is a memo hit.
+    is a memo hit. The search settles only the transit core: a leaf
+    destination (a node with one link, such as a client attach point)
+    is attached when its attachment node settles, so a lookup of a
+    leaf pauses right after that node.
 
     Routes are exactly those of a full shortest-path tree built at
     the source's first lookup after the last reroute, on the weights
     of that moment (the "perfect routing protocol" reroutes only on
     up/down changes; a weight change reaches a source's routes at its
-    first lookup after the next reroute). With "S touched L" meaning
-    an endpoint of link L is settled in search S:
+    first lookup after the next reroute). Where a search pauses does
+    not change its routes, only which searches survive a reroute.
+    With "S touched L" meaning an endpoint of link L is settled in
+    search S (a leaf's link is touched once its attachment node is
+    settled; a lookup of a leaf behind a down link settles that node
+    too, so the reroute that brings the link back drops the memoized
+    None):
 
     * :meth:`link_changing` (weight change, no reroute): a search that
       touched L turns *stale* and keeps answering until the next
@@ -179,7 +187,9 @@ class CachedRouting(RoutingService):
         #: Searches started (cold sources), and memo hits.
         self.misses = 0
         self.hits = 0
+        #: Nodes settled by heap pops, and leaves attached on lookup.
         self.nodes_settled = 0
+        self.leaves_attached = 0
         self.reroutes = 0
         self.searches_kept = 0
 
@@ -197,9 +207,12 @@ class CachedRouting(RoutingService):
         if cached is not _SENTINEL:
             self.hits += 1
             return cached
-        before = len(search.settled)
+        settled_before = len(search.settled)
+        attached_before = search.attached
         result = search.route_to(dst)
-        self.nodes_settled += len(search.settled) - before
+        attached = search.attached - attached_before
+        self.leaves_attached += attached
+        self.nodes_settled += len(search.settled) - settled_before - attached
         routes[dst] = result
         return result
 
@@ -239,6 +252,7 @@ class CachedRouting(RoutingService):
         return {
             "searches": self.misses,
             "nodes_settled": self.nodes_settled,
+            "leaves_attached": self.leaves_attached,
             "reroutes": self.reroutes,
             "searches_kept": self.searches_kept,
         }

@@ -70,16 +70,43 @@ class ShortestPathSearch:
     as a full run would: the pops and relaxations it has made are the
     first ones of the full run, in the same order, ties included.
 
+    The heap holds only the transit core. A *leaf* is a node other
+    than ``source`` with exactly one link, up or down (see
+    :class:`Topology`); no leaf is ever a transit hop, so the search
+    relaxes only into non-leaf nodes (:meth:`Topology.core_adjacency`)
+    and a leaf is *attached* when it is looked up: it settles right
+    after its attachment node, at ``dist[attach] + weigh(link)``, if
+    its link is up. Dropping leaf entries from the heap leaves the pop
+    order of every other node unchanged (entries are ``(dist, node)``
+    pairs under a total order), and a leaf has exactly one possible
+    ``prev``, so routes and distances are those of a plain Dijkstra.
+    A full run (:meth:`settle` with no destination) attaches every
+    reachable leaf after the heap drains.
+
     Link ``L`` has been relaxed exactly when one of its endpoints is
     settled (the first endpoint to settle relaxes it; the second skips
-    it). :meth:`touched` is that test.
+    it). :meth:`touched` is that test. A leaf's link counts as touched
+    once its attachment node is settled, whether or not the leaf has
+    been attached: a lookup of a leaf behind a down link settles the
+    attachment node before answering None, so the reroute that brings
+    the link back up sees the search touched it.
 
-    ``weigh`` is read at each relaxation, so a caller may swap it
-    between :meth:`settle` calls (see :class:`CachedRouting`'s held
-    weights).
+    ``weigh`` is read at each relaxation and attachment, so a caller
+    may swap it between :meth:`settle` calls (see
+    :class:`CachedRouting`'s held weights). ``attached`` counts the
+    leaves attached so far.
     """
 
-    __slots__ = ("topology", "source", "weigh", "dist", "prev", "settled", "heap")
+    __slots__ = (
+        "topology",
+        "source",
+        "weigh",
+        "dist",
+        "prev",
+        "settled",
+        "heap",
+        "attached",
+    )
 
     def __init__(
         self,
@@ -94,6 +121,7 @@ class ShortestPathSearch:
         self.prev: Dict[int, Hop] = {}
         self.settled: Set[int] = set()
         self.heap: List[Tuple[float, int]] = [(0.0, source)]
+        self.attached = 0
 
     def touched(self, link: Link) -> bool:
         """Whether this search has relaxed ``link`` (or skipped it as
@@ -103,11 +131,44 @@ class ShortestPathSearch:
     def settle(self, dest: Optional[int] = None) -> bool:
         """Pop until ``dest`` is settled or the heap is empty; with no
         ``dest``, settle everything reachable. Returns whether
-        ``dest`` is settled."""
+        ``dest`` is settled. A leaf ``dest`` settles with its
+        attachment node; an unknown one is never settled."""
         settled = self.settled
         if dest in settled:
             return True
-        incident = self.topology.incident
+        topology = self.topology
+        if dest is None:
+            self._pop_until(None)
+            for leaf, (link, attach) in topology.leaves().items():
+                if leaf not in settled and attach in settled and link.up:
+                    self._attach(leaf, link, attach)
+            return False
+        if dest not in topology.nodes:
+            return False
+        access = topology.leaves().get(dest)
+        if access is None or dest == self.source:
+            return self._pop_until(dest)
+        link, attach = access
+        # Settle the attachment node even when the link is down, so
+        # that the search counts as having touched it.
+        if not self._pop_until(attach) or not link.up:
+            return False
+        self._attach(dest, link, attach)
+        return True
+
+    def _attach(self, leaf: int, link: Link, attach: int) -> None:
+        self.dist[leaf] = self.dist[attach] + self.weigh(link)
+        self.prev[leaf] = Hop(link, attach, leaf)
+        self.settled.add(leaf)
+        self.attached += 1
+
+    def _pop_until(self, target: Optional[int]) -> bool:
+        """Pop the core until ``target`` is settled or the heap is
+        empty; returns whether ``target`` is settled."""
+        settled = self.settled
+        if target in settled:
+            return True
+        core = self.topology.core_adjacency()
         weigh = self.weigh
         dist = self.dist
         prev = self.prev
@@ -117,18 +178,15 @@ class ShortestPathSearch:
             if node in settled:
                 continue
             settled.add(node)
-            for link in incident(node):
-                if not link.up:
-                    continue
-                neighbor = link.b if link.a == node else link.a
-                if neighbor in settled:
+            for neighbor, link in core[node]:
+                if not link.up or neighbor in settled:
                     continue
                 candidate = d + weigh(link)
                 if candidate < dist.get(neighbor, _INF):
                     dist[neighbor] = candidate
                     prev[neighbor] = Hop(link, node, neighbor)
                     heapq.heappush(heap, (candidate, neighbor))
-            if node == dest:
+            if node == target:
                 return True
         return False
 

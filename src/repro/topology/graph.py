@@ -128,6 +128,13 @@ class Topology:
 
     Node and link ids are small integers assigned on insertion (or
     chosen by the caller for nodes, e.g. when parsing GML).
+
+    A *leaf* is a node with exactly one link, up or down (a client
+    attach point, typically); the far end of that link is its
+    *attachment node*. Route searches relax only into non-leaf nodes
+    (:meth:`core_adjacency`) and attach leaves on lookup
+    (:meth:`leaves`). Both views are built on first use, dropped by
+    every structural edit, and never pickled.
     """
 
     def __init__(self, name: str = "topology"):
@@ -137,6 +144,13 @@ class Topology:
         self._adjacency: Dict[int, List[Link]] = {}
         self._next_node_id = 0
         self._next_link_id = 0
+        self._core: Optional[Dict[int, Tuple[Tuple[int, Link], ...]]] = None
+        self._leaves: Optional[Dict[int, Tuple[Link, int]]] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        state["_core"] = state["_leaves"] = None
+        return state
 
     # -- construction -------------------------------------------------
 
@@ -155,6 +169,7 @@ class Topology:
         self.nodes[node_id] = node
         self._adjacency[node_id] = []
         self._next_node_id = max(self._next_node_id, node_id + 1)
+        self._core = self._leaves = None
         return node
 
     def add_link(
@@ -187,6 +202,7 @@ class Topology:
         self._adjacency[a].append(link)
         self._adjacency[b].append(link)
         self._next_link_id += 1
+        self._core = self._leaves = None
         return link
 
     def remove_link(self, link_id: int) -> None:
@@ -195,6 +211,18 @@ class Topology:
             raise TopologyError(f"no link {link_id}")
         self._adjacency[link.a].remove(link)
         self._adjacency[link.b].remove(link)
+        self._core = self._leaves = None
+
+    def remove_node(self, node_id: int) -> None:
+        """Remove a node that has no links left."""
+        links = self._adjacency.get(node_id)
+        if links is None:
+            raise TopologyError(f"no node {node_id}")
+        if links:
+            raise TopologyError(f"node {node_id} still has {len(links)} link(s)")
+        del self.nodes[node_id]
+        del self._adjacency[node_id]
+        self._core = self._leaves = None
 
     # -- queries ------------------------------------------------------
 
@@ -220,11 +248,37 @@ class Topology:
             return list(links)
         return [link for link in links if link.up]
 
-    def incident(self, node_id: int) -> List[Link]:
-        """The live adjacency list of ``node_id``, down links included
-        (no copy, unlike :meth:`links_of`: callers must not mutate
-        it). For hot loops such as a route search."""
-        return self._adjacency[node_id]
+    def core_adjacency(self) -> Dict[int, Tuple[Tuple[int, Link], ...]]:
+        """Per node, the ``(neighbor, link)`` pairs over its non-leaf
+        neighbours, down links included. Cached until the next
+        structural edit; callers must not mutate it."""
+        if self._core is None:
+            self._build_search_views()
+        return self._core
+
+    def leaves(self) -> Dict[int, Tuple[Link, int]]:
+        """Leaf id -> ``(its link, its attachment node)``. Cached like
+        :meth:`core_adjacency`."""
+        if self._leaves is None:
+            self._build_search_views()
+        return self._leaves
+
+    def _build_search_views(self) -> None:
+        adjacency = self._adjacency
+        core = {}
+        for node_id, links in adjacency.items():
+            pairs = []
+            for link in links:
+                far = link.b if link.a == node_id else link.a
+                if len(adjacency[far]) != 1:
+                    pairs.append((far, link))
+            core[node_id] = tuple(pairs)
+        self._core = core
+        self._leaves = {
+            node_id: (links[0], links[0].other(node_id))
+            for node_id, links in adjacency.items()
+            if len(links) == 1
+        }
 
     def neighbors(self, node_id: int, include_down: bool = False) -> Iterator[Tuple[int, Link]]:
         """Yield (neighbor id, link) pairs; down links skipped by default."""

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import pytest
 
-from repro.routing import CachedRouting, DynamicRouting, Hop, extract_route
+from repro.routing import CachedRouting, DynamicRouting, Hop, dijkstra, extract_route
 from repro.topology import NodeKind, Topology
 
 MS = 1e-3
@@ -86,7 +86,9 @@ WEIGHTS = ["latency", "hops", "cost", mixed_weight]
 def random_topology(rng: random.Random) -> Topology:
     """A connected multigraph with many equal-weight paths. Links are
     mostly local (a strip of nodes with short chords), so a search
-    that stops at a near destination leaves far links untouched."""
+    that stops at a near destination leaves far links untouched.
+    About half the strip nodes carry one degree-1 ``CLIENT`` leaf,
+    numbered after the strip."""
     topology = Topology("oracle")
     size = rng.randint(15, 40)
     for _ in range(size):
@@ -102,6 +104,9 @@ def random_topology(rng: random.Random) -> Topology:
     for _ in range(rng.randint(size // 2, 2 * size)):
         a = rng.randrange(size - 1)
         link(a, rng.randint(a + 1, min(size - 1, a + 4)))  # parallel links allowed
+    for node in range(size):
+        if rng.random() < 0.5:
+            link(topology.add_node(NodeKind.CLIENT).id, node)
     return topology
 
 
@@ -117,6 +122,7 @@ def run_interleaving(seed: int, weight) -> None:
     rng = random.Random(seed)
     topology = random_topology(rng)
     nodes = sorted(topology.nodes)
+    leaves = [node.id for node in topology.clients()]
     links = [topology.links[i] for i in sorted(topology.links)]
     hot = rng.sample(nodes, 3)
     routing = DynamicRouting(CachedRouting(topology, weight))
@@ -125,7 +131,9 @@ def run_interleaving(seed: int, weight) -> None:
         roll = rng.random()
         if roll < 0.55:
             src = rng.choice(hot)
-            if rng.random() < 0.8:  # mostly near: searches stay partial
+            if leaves and rng.random() < 0.5:
+                dst = rng.choice(leaves)
+            elif rng.random() < 0.8:  # mostly near: searches stay partial
                 dst = min(max(src + rng.randint(-5, 5), 0), nodes[-1])
             else:
                 dst = rng.choice(nodes)
@@ -283,3 +291,115 @@ def test_lookup_settles_only_up_to_the_destination():
     assert routing.stats()["nodes_settled"] == 2
     routing.route(0, 4)  # resumes: settles 2, 3 and 4
     assert routing.stats()["nodes_settled"] == 5
+
+
+# ----------------------------------------------------------------------
+# Leaves: nodes with one link are attached on lookup, not searched
+# ----------------------------------------------------------------------
+
+
+def ring_with_clients(routers=6):
+    """A ring of routers, one client leaf per router: client ``i`` is
+    node ``routers + i`` on router ``i``."""
+    topology = Topology("ring")
+    for _ in range(routers):
+        topology.add_node(NodeKind.STUB)
+    for router in range(routers):
+        topology.add_link(router, (router + 1) % routers, 1e6, 1 * MS)
+    access = [
+        topology.add_link(topology.add_node(NodeKind.CLIENT).id, router, 1e6, 1 * MS)
+        for router in range(routers)
+    ]
+    return topology, access
+
+
+def full_tree_route(topology, src, dst):
+    _dist, prev = reference_dijkstra(topology, src, "latency")
+    return extract_route(prev, src, dst)
+
+
+def test_leaf_behind_a_recovered_access_link_is_routed_again():
+    topology, access = ring_with_clients()
+    routing = DynamicRouting(CachedRouting(topology))
+    client0, client3 = 6, 9
+    routing.link_failed(access[3])
+    assert routing.route(client0, client3) is None
+    routing.link_recovered(access[3])
+    route = routing.route(client0, client3)
+    assert route is not None
+    assert route == full_tree_route(topology, client0, client3)
+
+
+def test_leaf_lookup_pauses_at_the_attachment_node():
+    topology, _ = ring_with_clients()
+    routing = CachedRouting(topology)
+    routing.route(6, 7)  # client 0 -> router 0 -> router 1 -> client 1
+    stats = routing.stats()
+    assert stats["nodes_settled"] == 3  # client 0, routers 0 and 1
+    assert stats["leaves_attached"] == 1
+
+
+def test_unknown_destination_has_no_route():
+    topology, _ = ring_with_clients()
+    routing = CachedRouting(topology)
+    assert routing.route(6, 999) is None
+    assert routing.route(0, 999) is None
+    assert routing.route(6, 9) == full_tree_route(topology, 6, 9)
+
+
+def assert_full_run_matches_reference(topology, source, weight="latency"):
+    dist, prev = dijkstra(topology, source, weight)
+    expected_dist, expected_prev = reference_dijkstra(topology, source, weight)
+    assert dist == expected_dist
+    assert prev == expected_prev
+
+
+@pytest.mark.parametrize("weight", WEIGHTS, ids=["latency", "hops", "cost", "callable"])
+@pytest.mark.parametrize("seed", range(20))
+def test_full_run_matches_reference_on_leaf_rich_graphs(weight, seed):
+    rng = random.Random(seed)
+    topology = random_topology(rng)
+    for link in rng.sample(list(topology.links.values()), 3):
+        link.up = False
+    for source in sorted(topology.nodes):
+        assert_full_run_matches_reference(topology, source, weight)
+
+
+def test_full_run_from_a_leaf_source():
+    topology, _ = ring_with_clients()
+    dist, prev = dijkstra(topology, 6)
+    assert set(dist) == set(topology.nodes)
+    assert_full_run_matches_reference(topology, 6)
+
+
+def test_full_run_over_a_two_node_leaf_component():
+    topology = Topology("pair")
+    a = topology.add_node(NodeKind.CLIENT).id
+    b = topology.add_node(NodeKind.CLIENT).id
+    topology.add_link(a, b, 1e6, 1 * MS)
+    dist, prev = dijkstra(topology, a)
+    assert dist == {a: 0.0, b: 1 * MS}
+    assert_full_run_matches_reference(topology, a)
+    assert_full_run_matches_reference(topology, b)
+    assert CachedRouting(topology).route(a, b) == full_tree_route(topology, a, b)
+
+
+def test_full_run_over_parallel_links():
+    # Node 2 has degree 2 over two parallel links: not a leaf.
+    topology, _ = ring_with_clients(3)
+    extra = topology.add_node(NodeKind.CLIENT).id
+    topology.add_link(extra, 0, 1e6, 3 * MS)
+    topology.add_link(extra, 0, 1e6, 2 * MS)
+    assert extra not in topology.leaves()
+    for source in topology.nodes:
+        assert_full_run_matches_reference(topology, source)
+        assert_full_run_matches_reference(topology, source, "hops")
+
+
+def test_full_run_skips_a_leaf_behind_a_down_link():
+    topology, access = ring_with_clients()
+    access[2].up = False
+    dist, prev = dijkstra(topology, 6)
+    assert 8 not in dist and 8 not in prev
+    assert_full_run_matches_reference(topology, 6)
+    assert_full_run_matches_reference(topology, 8)

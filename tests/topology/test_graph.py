@@ -161,3 +161,81 @@ def test_parse_node_kind():
     assert NodeKind.parse("CLIENT") is NodeKind.CLIENT
     with pytest.raises(TopologyError):
         NodeKind.parse("banana")
+
+
+def core_neighbors(topology, node_id):
+    return [neighbor for neighbor, _link in topology.core_adjacency()[node_id]]
+
+
+def leaf_ids(topology):
+    return list(topology.leaves())
+
+
+def build_star():
+    """Hub 0 with leaves 1 and 2."""
+    topology = Topology("star")
+    for _ in range(3):
+        topology.add_node(NodeKind.STUB)
+    spoke1 = topology.add_link(0, 1, 1e6, 0.001)
+    topology.add_link(0, 2, 1e6, 0.001)
+    return topology, spoke1
+
+
+def test_search_views_list_leaves_and_skip_them():
+    topology, spoke1 = build_star()
+    assert leaf_ids(topology) == [1, 2]
+    assert topology.leaves()[1] == (spoke1, 0)
+    assert core_neighbors(topology, 0) == []
+    assert core_neighbors(topology, 1) == [0]
+
+
+def test_down_link_still_makes_a_leaf():
+    topology, spoke1 = build_star()
+    spoke1.up = False
+    assert leaf_ids(topology) == [1, 2]
+
+
+def test_add_link_turns_a_leaf_into_a_transit_node():
+    topology, _ = build_star()
+    assert leaf_ids(topology) == [1, 2]
+    topology.add_node(NodeKind.CLIENT)
+    topology.add_link(1, 3, 1e6, 0.001)
+    assert leaf_ids(topology) == [2, 3]
+    assert core_neighbors(topology, 0) == [1]
+    assert core_neighbors(topology, 1) == [0]
+
+
+def test_remove_link_can_make_a_leaf():
+    topology, a, b, c = build_triangle()
+    assert leaf_ids(topology) == []
+    assert core_neighbors(topology, b.id) == [a.id, c.id]
+    topology.remove_link(topology.link_between(a.id, b.id).id)
+    assert leaf_ids(topology) == [a.id, b.id]
+    assert core_neighbors(topology, c.id) == []
+    assert core_neighbors(topology, a.id) == [c.id]
+
+
+def test_remove_node_refuses_a_linked_node():
+    topology, spoke1 = build_star()
+    with pytest.raises(TopologyError):
+        topology.remove_node(1)
+    with pytest.raises(TopologyError):
+        topology.remove_node(42)
+    topology.remove_link(spoke1.id)
+    topology.core_adjacency()
+    topology.remove_node(1)
+    assert 1 not in topology.nodes
+    assert 1 not in topology.core_adjacency()
+    assert leaf_ids(topology) == [0, 2]  # the hub kept one link
+    topology.validate()
+
+
+def test_search_views_are_not_pickled():
+    import pickle
+
+    topology, _ = build_star()
+    topology.core_adjacency()
+    clone = pickle.loads(pickle.dumps(topology))
+    assert clone._core is None and clone._leaves is None
+    assert leaf_ids(clone) == [1, 2]
+    assert topology._core is not None
