@@ -1,40 +1,13 @@
-"""Performance harness: reproducible hot-path throughput numbers.
+"""The multicore scaling gate (``repro-net bench``).
 
-The paper's central scalability claim is core capacity in packets per
-second (Fig. 4, Table 1); this package is the repo's own version of
-that discipline. Each benchmark scenario runs a *fixed-seed* workload,
-measures the event loop (events/sec), the virtual forwarding plane
-(virtual packets/sec), wall time, peak RSS, and a per-phase breakdown,
-and writes a machine-readable ``BENCH_<name>.json`` manifest so any
-two commits can be compared without screen-scraping.
-
-Entry points:
-
-* ``repro-net bench`` — run the suite, write manifests, optionally
-  embed a baseline for before/after evidence;
-* ``repro-net bench --compare OLD NEW`` — diff two manifests and flag
-  regressions beyond a noise threshold;
-* :func:`repro.bench.run_scenario` / :data:`repro.bench.SCENARIOS` —
-  the programmatic interface used by ``benchmarks/perf/``.
+perfbench (``perfbench/run.py``) is the benchmark of record for speed.
+This package keeps the one comparison perfbench does not make: the
+paper's Table 1 / §3.3 serial-vs-multiprocess run of the same
+partitioned workload, with the digests of every leg required to
+match. It writes one ``BENCH_multicore_scaling.json`` manifest.
 """
 
-from repro.bench.harness import (
-    BENCH_SCHEMA,
-    BenchResult,
-    bench_filename,
-    compare_results,
-    load_result,
-    write_result,
-)
-from repro.bench.scenarios import SCENARIOS, run_scenario
+from repro.bench.harness import BenchResult, write_result
+from repro.bench.scenarios import multicore_scaling
 
-__all__ = [
-    "BENCH_SCHEMA",
-    "BenchResult",
-    "SCENARIOS",
-    "bench_filename",
-    "compare_results",
-    "load_result",
-    "run_scenario",
-    "write_result",
-]
+__all__ = ["BenchResult", "multicore_scaling", "write_result"]

@@ -1,218 +1,69 @@
-"""Benchmark result model, JSON manifests, and regression comparison.
+"""The scaling gate's result record and its JSON manifest.
 
-A :class:`BenchResult` is the unit of perf accountability: one
-fixed-seed scenario run, reduced to the scalars that matter for the
-hot path. Manifests are written as ``BENCH_<name>.json`` (by
-convention at the repo root) under the ``repro-bench/1`` schema:
+A :class:`BenchResult` is one ``multicore_scaling`` run, written as
+``BENCH_<name>.json`` (by convention at the repo root) under the
+``repro-bench/2`` schema:
 
 ``schema``
-    Manifest format tag (``repro-bench/1``).
+    Manifest format tag (``repro-bench/2``).
 ``name`` / ``profile`` / ``seed`` / ``params``
     What ran: scenario name, ``short`` or ``full`` profile, the fixed
     seed, and the scenario's resolved parameters.
-``wall_s``
-    Wall-clock seconds of the measured (run) phase.
-``events`` / ``events_per_s``
-    Simulator events dispatched during the measured phase, and the
-    event-loop throughput — the primary hot-path figure of merit.
-``virtual_pkts`` / ``virtual_pkts_per_s``
-    Packets admitted to the emulated network during the measured
-    phase, and the forwarding-plane throughput (the repo's stand-in
-    for the paper's pkts/sec capacity numbers).
-``virtual_time_s``
-    Virtual seconds simulated in the measured phase.
-``peak_rss_bytes``
-    Process peak resident set size after the run (``ru_maxrss``).
+``events``
+    Events one leg dispatches (every leg runs the same event stream).
 ``phases``
-    Per-phase wall-clock breakdown (e.g. ``build_s``, ``run_s``).
+    Wall-clock seconds of each leg's run phase (``serial_run_s``,
+    ``multiprocess_w<N>_run_s``) and of the serial build (``build_s``).
 ``digest``
-    Optional determinism fingerprint (the sanitizer's event-stream
-    SHA-256) — identical across same-seed runs by contract.
+    The composed per-domain event-stream digest every leg reproduced.
 ``extras``
-    Scenario-specific scalars (e.g. per-point pkts/sec of the
-    capacity sweep).
-``baseline``
-    Optional before/after evidence: the baseline run's
-    ``events_per_s`` and ``wall_s``, its source path, and the
-    resulting ``speedup`` (new events/sec over old).
-
-Comparison (:func:`compare_results`) treats ``events_per_s`` as the
-regression gate: a drop beyond the noise threshold fails; wall-clock
-and RSS changes are reported but informational. Event *counts* of a
-fixed-seed scenario are deterministic, so a count mismatch is flagged
-as a behavior change, not noise.
+    ``speedup[w=<N>]`` (serial run phase over the N-worker one), the
+    multiprocess epoch and message counts, and ``events_by_domain``.
 """
 
 from __future__ import annotations
 
 import json
-import resource
-import sys
+import os
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
-BENCH_SCHEMA = "repro-bench/1"
-
-
-def peak_rss_bytes() -> int:
-    """Peak resident set size of this process, in bytes."""
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # ru_maxrss is kilobytes on Linux, bytes on macOS.
-    return rss if sys.platform == "darwin" else rss * 1024
+BENCH_SCHEMA = "repro-bench/2"
 
 
 @dataclass
 class BenchResult:
-    """One scenario run, reduced to its perf scalars."""
+    """One scaling-gate run, reduced to what its manifest records."""
 
     name: str
     profile: str
     seed: int
     params: Dict[str, Any] = field(default_factory=dict)
-    wall_s: float = 0.0
     events: int = 0
-    events_per_s: float = 0.0
-    virtual_pkts: int = 0
-    virtual_pkts_per_s: float = 0.0
-    virtual_time_s: float = 0.0
-    peak_rss_bytes: int = 0
     phases: Dict[str, float] = field(default_factory=dict)
-    digest: Optional[str] = None
+    digest: str = ""
     extras: Dict[str, Any] = field(default_factory=dict)
-    baseline: Optional[Dict[str, Any]] = None
     schema: str = BENCH_SCHEMA
-
-    def finalize(self) -> "BenchResult":
-        """Derive the per-second rates from counts and wall time."""
-        if self.wall_s > 0:
-            self.events_per_s = self.events / self.wall_s
-            self.virtual_pkts_per_s = self.virtual_pkts / self.wall_s
-        self.peak_rss_bytes = peak_rss_bytes()
-        return self
-
-    def set_baseline(self, baseline: "BenchResult", source: str) -> None:
-        """Embed before/after evidence from a prior manifest."""
-        speedup = (
-            self.events_per_s / baseline.events_per_s
-            if baseline.events_per_s > 0
-            else 0.0
-        )
-        self.baseline = {
-            "events_per_s": baseline.events_per_s,
-            "wall_s": baseline.wall_s,
-            "source": source,
-            "speedup": round(speedup, 4),
-        }
 
     def to_json(self) -> str:
         payload = asdict(self)
         # Schema tag leads for human readers.
         ordered = {"schema": payload.pop("schema"), **payload}
-        return json.dumps(ordered, indent=2, sort_keys=False) + "\n"
+        return json.dumps(ordered, indent=2) + "\n"
 
     def summary(self) -> str:
-        line = (
-            f"{self.name}: {self.events_per_s:,.0f} events/s, "
-            f"{self.virtual_pkts_per_s:,.0f} vpkts/s, "
-            f"wall {self.wall_s:.3f}s, rss {self.peak_rss_bytes / 1e6:.1f} MB"
+        speedups = ", ".join(
+            f"{key} {value:.3f}"
+            for key, value in self.extras.items()
+            if key.startswith("speedup")
         )
-        if self.baseline:
-            line += f"  ({self.baseline['speedup']:.2f}x vs baseline)"
-        return line
-
-
-def bench_filename(name: str) -> str:
-    return f"BENCH_{name}.json"
+        return f"{self.name} ({self.profile}): {speedups}"
 
 
 def write_result(result: BenchResult, directory: str = ".") -> str:
-    import os
-
+    """Write ``BENCH_<name>.json`` into ``directory``; return its path."""
     os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, bench_filename(result.name))
+    path = os.path.join(directory, f"BENCH_{result.name}.json")
     with open(path, "w") as handle:
         handle.write(result.to_json())
     return path
-
-
-def load_result(path: str) -> BenchResult:
-    with open(path) as handle:
-        payload = json.load(handle)
-    schema = payload.get("schema")
-    if schema != BENCH_SCHEMA:
-        raise ValueError(
-            f"{path}: unsupported bench schema {schema!r} "
-            f"(expected {BENCH_SCHEMA!r})"
-        )
-    known = {f for f in BenchResult.__dataclass_fields__}
-    return BenchResult(**{k: v for k, v in payload.items() if k in known})
-
-
-# ----------------------------------------------------------------------
-# Comparison
-# ----------------------------------------------------------------------
-
-@dataclass
-class Finding:
-    """One observation from comparing two manifests."""
-
-    scenario: str
-    kind: str  # "regression" | "improvement" | "neutral" | "behavior-change"
-    message: str
-
-    @property
-    def is_regression(self) -> bool:
-        return self.kind in ("regression", "behavior-change")
-
-
-def compare_results(
-    old: BenchResult,
-    new: BenchResult,
-    threshold: float = 0.10,
-) -> List[Finding]:
-    """Diff two manifests of the same scenario.
-
-    ``events_per_s`` dropping by more than ``threshold`` (fractional)
-    is a regression; an equal-magnitude rise is an improvement;
-    anything inside the band is noise. A changed event count or
-    digest on the same (scenario, profile, seed, params) means the
-    *behavior* changed, which no noise threshold excuses.
-    """
-    findings: List[Finding] = []
-    if old.name != new.name:
-        raise ValueError(f"cannot compare {old.name!r} with {new.name!r}")
-
-    same_workload = (
-        old.profile == new.profile
-        and old.seed == new.seed
-        and old.params == new.params
-    )
-    if same_workload and old.events != new.events:
-        findings.append(Finding(
-            new.name, "behavior-change",
-            f"event count changed {old.events} -> {new.events} "
-            f"(fixed-seed scenarios must dispatch identical event streams)",
-        ))
-    if same_workload and old.digest and new.digest and old.digest != new.digest:
-        findings.append(Finding(
-            new.name, "behavior-change",
-            f"determinism digest changed {old.digest[:16]} -> {new.digest[:16]}",
-        ))
-
-    if old.events_per_s > 0:
-        ratio = new.events_per_s / old.events_per_s
-        delta = f"{old.events_per_s:,.0f} -> {new.events_per_s:,.0f} events/s ({ratio:.2f}x)"
-        if ratio < 1.0 - threshold:
-            findings.append(Finding(new.name, "regression", delta))
-        elif ratio > 1.0 + threshold:
-            findings.append(Finding(new.name, "improvement", delta))
-        else:
-            findings.append(Finding(new.name, "neutral", delta))
-
-    rss_old, rss_new = old.peak_rss_bytes, new.peak_rss_bytes
-    if rss_old > 0 and rss_new > rss_old * 1.5:
-        findings.append(Finding(
-            new.name, "regression",
-            f"peak RSS grew {rss_old / 1e6:.1f} -> {rss_new / 1e6:.1f} MB",
-        ))
-    return findings

@@ -680,10 +680,9 @@ def run_multiprocess(
     "aborted"`` and whatever stats the workers could still report.
     ``chaos_kill=(epoch, worker)`` delivers ``chaos_signal`` to one
     worker just before that epoch runs — the deterministic
-    fault-injection hook for tests and the ``chaos_recovery``
-    benchmark. Either one makes the run *observed*: the parent
-    releases every epoch barrier in turn; otherwise it only watches
-    heartbeats until ``finish``.
+    fault-injection hook for the SIGKILL recovery tests. Either one
+    makes the run *observed*: the parent releases every epoch barrier
+    in turn; otherwise it only watches heartbeats until ``finish``.
 
     Supervision: a crashed or hung worker stops the whole group, which
     is respawned with a fresh peer mesh and rerun from the start; an

@@ -20,7 +20,6 @@ source lacks. This CLI provides those offline steps:
     repro-net sanitize examples/dumbbell.gml --seeds 1,2,3
     repro-net sanitize ring8.gml --cores 4 --backend multiprocess
     repro-net bench --profile short
-    repro-net bench --compare old/BENCH_dumbbell_netperf.json BENCH_dumbbell_netperf.json
     repro-net exp ls
     repro-net exp run fig4 --quick
     repro-net exp report fig4
@@ -155,7 +154,7 @@ def _cmd_route(args) -> int:
 
 
 def _resolve_report_paths(out_dir, report=None, csv=None, basename="report"):
-    """One rule for where run artifacts land, shared by run/bench/exp:
+    """One rule for where run artifacts land, shared by run/exp:
     explicit paths win; otherwise ``--out-dir`` (created on demand)
     supplies ``<out-dir>/<basename>.json`` and ``.csv``."""
     import os
@@ -505,70 +504,15 @@ def _cmd_sanitize(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    """Run the perf suite, write BENCH_<name>.json manifests, and
-    (optionally) embed a baseline or diff two manifests."""
-    import os
+    """Run the multicore scaling gate and write its manifest; raises
+    if a multiprocess leg's digest diverges from the serial one."""
+    from repro.bench import multicore_scaling, write_result
 
-    from repro.bench import (
-        SCENARIOS,
-        bench_filename,
-        compare_results,
-        load_result,
-        run_scenario,
-        write_result,
-    )
-
-    if args.compare:
-        old = load_result(args.compare[0])
-        new = load_result(args.compare[1])
-        findings = compare_results(old, new, threshold=args.threshold)
-        regressed = False
-        for finding in findings:
-            print(f"{finding.scenario}: [{finding.kind}] {finding.message}")
-            regressed = regressed or finding.is_regression
-        if regressed:
-            print("bench: REGRESSION beyond noise threshold")
-            return 1
-        print("bench: no regression")
-        return 0
-
-    names = args.scenario or sorted(SCENARIOS)
-    unknown = [n for n in names if n not in SCENARIOS]
-    if unknown:
-        print(
-            f"error: unknown scenario(s) {unknown}; "
-            f"valid: {', '.join(sorted(SCENARIOS))}",
-            file=sys.stderr,
-        )
-        return 2
-    _resolve_report_paths(args.out_dir)  # shared out-dir handling
-    exit_code = 0
-    for name in names:
-        try:
-            result = run_scenario(
-                name,
-                profile=args.profile,
-                seed=args.seed,
-                repeats=args.repeats,
-                backend=args.backend,
-                domains=args.domains,
-                workers=args.workers,
-            )
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        if args.baseline:
-            baseline_path = args.baseline
-            if os.path.isdir(baseline_path):
-                baseline_path = os.path.join(baseline_path, bench_filename(name))
-            if os.path.exists(baseline_path):
-                result.set_baseline(load_result(baseline_path), baseline_path)
-            else:
-                print(f"warning: no baseline manifest at {baseline_path}")
-        path = write_result(result, args.out_dir)
-        print(result.summary())
-        print(f"wrote {path}")
-    return exit_code
+    result = multicore_scaling(profile=args.profile)
+    path = write_result(result, args.out_dir)
+    print(result.summary())
+    print(f"wrote {path}")
+    return 0
 
 
 def _cmd_exp_run(args) -> int:
@@ -668,12 +612,12 @@ def _cmd_exp_ls(args) -> int:
     return 0 if done == total else 1
 
 
-def _add_backend_flags(parser, default_backend="serial") -> None:
+def _add_backend_flags(parser) -> None:
     """``--backend/--domains/--workers``: select the execution engine
-    (shared by the run/sanitize/bench subcommands)."""
+    (shared by the run/sanitize subcommands)."""
     parser.add_argument(
         "--backend", choices=["serial", "multiprocess"],
-        default=default_backend,
+        default="serial",
         help="execution backend (default: %(default)s)",
     )
     parser.add_argument(
@@ -904,39 +848,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run the perf suite and write BENCH_<name>.json manifests",
-    )
-    bench.add_argument(
-        "--scenario", action="append",
-        help="scenario name (repeatable; default: all)",
+        help="run the multicore scaling gate (serial vs 1 and 2 "
+        "workers) and write BENCH_multicore_scaling.json",
     )
     bench.add_argument(
         "--profile", choices=["short", "full"], default="short",
         help="workload size (short for CI smoke, full for real numbers)",
     )
-    bench.add_argument("--seed", type=int, default=None, help="override the fixed seed")
-    bench.add_argument(
-        "--repeats", type=int, default=1,
-        help="run each scenario N times and keep the fastest "
-        "(best-of-N; repeats must be digest-identical)",
-    )
-    _add_backend_flags(bench, default_backend=None)
     bench.add_argument(
         "--out-dir", default=".",
-        help="where to write BENCH_<name>.json (default: repo root / cwd)",
-    )
-    bench.add_argument(
-        "--baseline",
-        help="prior BENCH json (or a directory of them) to embed as "
-        "before/after evidence",
-    )
-    bench.add_argument(
-        "--compare", nargs=2, metavar=("OLD", "NEW"),
-        help="diff two BENCH manifests and exit 1 on regression",
-    )
-    bench.add_argument(
-        "--threshold", type=float, default=0.10,
-        help="fractional events/sec noise band for --compare (default 0.10)",
+        help="where to write the manifest (default: current directory)",
     )
     bench.set_defaults(func=_cmd_bench)
 

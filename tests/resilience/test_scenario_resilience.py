@@ -3,7 +3,8 @@
 The acceptance properties from the issue, scaled down to CI size:
 
 * SIGKILL of a multiprocess worker mid-run recovers with the composed
-  digest byte-identical to the fault-free run;
+  digest byte-identical to the fault-free run, and under the committed
+  fault plan with the committed digest;
 * an interrupted + resumed run produces the same final digest and
   event count as an uninterrupted one (several seeds);
 * budget exhaustion aborts cleanly with a partial report carrying
@@ -13,6 +14,10 @@ The acceptance properties from the issue, scaled down to CI size:
 * ``inject_fault`` survives the spec round trip into multiprocess
   workers, where the sanitizer must detect the divergence.
 """
+
+import json
+import pathlib
+import signal
 
 import pytest
 
@@ -24,7 +29,10 @@ from repro.resilience import (
     SupervisionEscalation,
     load_checkpoint,
 )
+from repro.faults import FaultPlan
 from repro.topology import dumbbell_topology, ring_topology
+
+EXAMPLES = pathlib.Path(__file__).parent.parent.parent / "examples"
 
 RING_UNTIL = 0.02
 
@@ -90,6 +98,32 @@ def test_sigkill_recovery_reproduces_the_clean_digest(workers):
     assert chaos.composed_digest == clean.composed_digest
     assert chaos.events_dispatched == clean.events_dispatched
     assert chaos.outcome == "completed"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workers", [2, 4])
+def test_sigkill_recovery_reproduces_the_committed_fault_plan_digest(
+    workers, seed
+):
+    """The chaos gate: kill worker 0 mid-run through the committed
+    fault plan; the restarted group must reproduce the committed
+    sanitize digest (``repro-net sanitize ... --fault-plan``)."""
+    digests = json.loads((EXAMPLES / "faultplan.digests.json").read_text())
+    scenario = (
+        Scenario.from_gml(str(EXAMPLES / "ring8x2.gml"))
+        .distill("hop-by-hop")
+        .assign(4)
+        .netperf(flows=8)
+        .observe(False)
+        .seed(seed)
+        .backend("multiprocess", domains=4, workers=workers)
+        .faults(FaultPlan.from_json_file(str(EXAMPLES / "faultplan.json")))
+        .resilience(chaos_kill=(80, 0), chaos_signal=signal.SIGKILL)
+    )
+    metrics = scenario.run(until=0.2).metrics
+    assert metrics["run.outcome"] == "completed"
+    assert metrics["resilience.workers_restarted"] == workers
+    assert metrics["run.digest"] == digests[str(seed)]
 
 
 # ----------------------------------------------------------------------

@@ -256,3 +256,37 @@ def test_run_out_dir_defaults_report_paths(tmp_path, capsys):
     ]) == 0
     assert (out_dir / "report.json").exists()
     assert (out_dir / "report.csv").exists()
+
+
+def test_bench_writes_only_the_scaling_manifest(tmp_path, capsys):
+    import json
+
+    assert main([
+        "bench", "--profile", "short", "--out-dir", str(tmp_path),
+    ]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == [
+        "BENCH_multicore_scaling.json"
+    ]
+    manifest = json.loads((tmp_path / "BENCH_multicore_scaling.json").read_text())
+    assert manifest["params"]["worker_counts"] == [1, 2]
+    assert manifest["extras"]["speedup[w=1]"] > 0
+    assert manifest["extras"]["speedup[w=2]"] > 0
+    assert len(manifest["digest"]) == 64
+    assert not any("digest" in key for key in manifest["extras"])
+    assert "speedup[w=2]" in capsys.readouterr().out
+
+
+def test_bench_fails_when_a_multiprocess_digest_diverges(tmp_path, monkeypatch):
+    from repro.engine import parallel
+
+    run = parallel.run_multiprocess
+
+    def diverging_run(*args, **kwargs):
+        result = run(*args, **kwargs)
+        result.domain_digests[0] = "0" * 64
+        return result
+
+    monkeypatch.setattr(parallel, "run_multiprocess", diverging_run)
+    with pytest.raises(RuntimeError, match=r"multicore_scaling\[w=1\].*diverged"):
+        main(["bench", "--profile", "short", "--out-dir", str(tmp_path)])
+    assert not (tmp_path / "BENCH_multicore_scaling.json").exists()
