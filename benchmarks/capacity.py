@@ -118,13 +118,10 @@ def measure_multicore_throughput(
     emulation = Emulation(
         sim,
         topology,
-        EmulationConfig(
-            num_cores=num_cores,
-            num_hosts=num_hosts,
-            edge_spec=GIGABIT_EDGE_SPEC,
-        ),
+        EmulationConfig(edge_spec=GIGABIT_EDGE_SPEC),
         assignment=assignment,
         binding=binding,
+        seed=0,
     )
 
     # Within each core group: the first half are senders, the second

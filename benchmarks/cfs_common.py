@@ -7,6 +7,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.apps.cfs import CfsNetwork
 from repro.apps.rondata import ron_topology
 from repro.core import EmulationConfig, ExperimentPipeline
+from repro.core.assign import single_core
 from repro.core.bind import Binding
 from repro.core.emulator import Emulation
 from repro.engine import Simulator
@@ -33,7 +34,14 @@ def build_ron_emulation(
     )
     config = EmulationConfig.reference()
     config.model_edge_cpu = model_edge_cpu
-    emulation = Emulation(sim, topology, config, binding=binding)
+    emulation = Emulation(
+        sim,
+        topology,
+        config,
+        assignment=single_core(topology),
+        binding=binding,
+        seed=0,
+    )
     return sim, emulation
 
 

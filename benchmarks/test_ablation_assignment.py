@@ -87,9 +87,10 @@ def test_ablation_dynamic_reassignment_online(benchmark, sink):
         emulation = Emulation(
             sim,
             topology,
-            EmulationConfig(num_cores=2, num_hosts=2),
+            EmulationConfig(),
             assignment=Assignment(2, link_to_core),
             binding=Binding(clients, [vn % 2 for vn in range(8)], [0, 1]),
+            seed=0,
         )
         reassigner = DynamicReassigner(emulation, period_s=1.0)
         streams = [TcpStream(emulation, 2 * f, 2 * f + 1) for f in range(4)]

@@ -24,6 +24,8 @@ from repro.core import (
     EmulationConfig,
     ExperimentPipeline,
 )
+from repro.core.assign import single_core
+from repro.core.bind import bind_vns
 from repro.core.emulator import Emulation
 from repro.core.routing_emulation import DistanceVectorRouting
 from repro.engine import Simulator
@@ -92,13 +94,12 @@ def _multicore_with_caching(caching: bool) -> float:
         sim,
         topology,
         EmulationConfig(
-            num_cores=num_cores,
-            num_hosts=num_hosts,
             edge_spec=GIGABIT_EDGE_SPEC,
             payload_caching=caching,
         ),
         assignment=assign_by_vn_groups(topology, groups),
         binding=binding,
+        seed=0,
     )
     senders_per_core = per_core // 2
     streams = []
@@ -199,7 +200,13 @@ def test_ablation_routing_protocol(benchmark, sink):
                     sim, topology, processing_delay_s=0.05
                 )
             emulation = Emulation(
-                sim, topology, EmulationConfig.reference(), routing=protocol
+                sim,
+                topology,
+                EmulationConfig.reference(),
+                assignment=single_core(topology),
+                binding=bind_vns(topology, num_hosts=1, num_cores=1),
+                seed=0,
+                routing=protocol,
             )
             received = []
             emulation.vn(1).udp_socket(

@@ -18,6 +18,7 @@ import pytest
 from benchmarks.conftest import full_scale
 from repro.apps.netperf import ComputePerByteSender, UdpSink
 from repro.core import EmulationConfig, ExperimentPipeline
+from repro.core.assign import single_core
 from repro.core.bind import Binding
 from repro.core.emulator import Emulation
 from repro.engine import Simulator
@@ -42,8 +43,10 @@ def measure_aggregate(nprog: int, instructions_per_byte: float,
     emulation = Emulation(
         sim,
         topology,
-        EmulationConfig(model_edge_cpu=True, num_hosts=2),
+        EmulationConfig(model_edge_cpu=True),
+        assignment=single_core(topology),
         binding=binding,
+        seed=0,
     )
     sinks = [UdpSink(emulation.vn(nprog + index)) for index in range(nprog)]
     senders = [

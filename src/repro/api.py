@@ -9,7 +9,8 @@ Create → Distill → Assign → Bind → Run — and hands back a
 ...     .distill("last-mile")
 ...     .assign(cores=2)
 ...     .bind(hosts=4)
-...     .config(tick_s=1e-4, seed=7)
+...     .config(tick_s=1e-4)
+...     .seed(7)
 ...     .run(until=10.0)
 ... )
 
@@ -39,7 +40,6 @@ from repro.core.distill import DistillationMode
 from repro.core.emulator import Emulation, EmulationConfig
 from repro.core.phases import ExperimentPipeline
 from repro.engine.domain import run_digest
-from repro.engine.randomness import RngRegistry
 from repro.engine.simulator import Simulator
 from repro.engine.sync import PartitionedSimulator
 from repro.faults import FaultPlan, PLAN_OVERRIDE_KEYS
@@ -109,21 +109,16 @@ class ScenarioSpec:
     knobs: dict
     reference: bool
     seed: int
-    #: ``(flows, seed)`` per :meth:`Scenario.netperf` call.
-    netperf: Tuple[Tuple[int, Optional[int]], ...]
-    #: :meth:`Scenario.inject_fault` duration — a *deliberately*
-    #: nondeterministic workload (sanitizer self-test). Declarative so
-    #: the fault reaches multiprocess workers instead of being masked
-    #: by the custom-traffic rejection in :meth:`Scenario.to_spec`.
-    fault_seconds: Optional[float] = None
-    #: ``(entry_name, ((param, value), ...))`` per
-    #: :meth:`Scenario.workload` call — registry workloads from
-    #: :mod:`repro.traffic`, portable across process boundaries.
-    traffic: Tuple[Tuple[str, Tuple[Tuple[str, Any], ...]], ...] = ()
+    #: ``(entry_name, ((param, value), ...))`` per registry workload
+    #: (:meth:`Scenario.workload`, and the :meth:`Scenario.netperf` and
+    #: :meth:`Scenario.inject_fault` shorthands), in registration
+    #: order — :mod:`repro.traffic` entries, portable across process
+    #: boundaries.
+    traffic: Tuple[Tuple[str, Tuple[Tuple[str, Any], ...]], ...]
     #: Declarative fault timeline (:class:`repro.faults.FaultPlan`) —
     #: frozen and picklable, so scheduled topology mutation reaches
     #: multiprocess workers, checkpoints, and sweeps intact.
-    faults: Optional[FaultPlan] = None
+    faults: Optional[FaultPlan]
 
     def with_overrides(self, **overrides) -> "ScenarioSpec":
         """Derive a new spec with the named knobs replaced — the single
@@ -132,11 +127,10 @@ class ScenarioSpec:
         Accepted names, resolved in this order: spec-level fields
         (``name``, ``seed``, ``mode`` — string or enum — ``cores``,
         ``hosts``, ``strategy``, ``walk_in``, ``walk_out``,
-        ``reference``, ``fault_seconds``, ``topology``), then
-        :class:`EmulationConfig` knobs (merged into ``knobs``), then
-        parameters of any registered traffic entry this spec carries
-        (applied to every entry that declares them; ``flows`` also
-        rewrites :meth:`Scenario.netperf` tuples). ``faults`` replaces
+        ``reference``, ``topology``), then :class:`EmulationConfig`
+        knobs (merged into ``knobs``), then parameters of any
+        registered traffic entry this spec carries (applied to every
+        entry that declares them). ``faults`` replaces
         the whole fault plan; the fault-intensity axes
         (:data:`repro.faults.PLAN_OVERRIDE_KEYS`) rewrite the plan's
         perturbation entries *and* any traffic entry sharing the name,
@@ -152,12 +146,11 @@ class ScenarioSpec:
 
         spec_passthrough = {
             "name", "topology", "walk_in", "walk_out", "strategy",
-            "reference", "seed", "fault_seconds",
+            "reference", "seed",
         }
         config_fields = set(EmulationConfig.field_names())
         updates: Dict[str, Any] = {}
         knobs = dict(self.knobs)
-        netperf = list(self.netperf)
         traffic = [(name, dict(params)) for name, params in self.traffic]
         faults = self.faults
         unknown = []
@@ -187,9 +180,6 @@ class ScenarioSpec:
                     if key in traffic_params(name):
                         params[key] = value
                         applied = True
-                if key == "flows" and netperf:
-                    netperf = [(int(value), s) for _, s in netperf]
-                    applied = True
                 if faults is not None and key in PLAN_OVERRIDE_KEYS:
                     faults = faults.with_overrides(**{key: value})
                     applied = True
@@ -203,8 +193,6 @@ class ScenarioSpec:
             )
             for name, _ in traffic:
                 valid |= set(traffic_params(name))
-            if netperf:
-                valid.add("flows")
             if faults is not None:
                 valid |= set(PLAN_OVERRIDE_KEYS)
             raise ValueError(
@@ -214,7 +202,6 @@ class ScenarioSpec:
         return replace(
             self,
             knobs=knobs,
-            netperf=tuple(netperf),
             traffic=tuple(
                 (name, tuple(sorted(params.items())))
                 for name, params in traffic
@@ -222,33 +209,6 @@ class ScenarioSpec:
             faults=faults,
             **updates,
         )
-
-
-def _nondeterminism_fault(seconds: float) -> Callable[[Emulation], Any]:
-    """Traffic callback that deliberately breaks determinism.
-
-    Schedules a self-perpetuating tick whose period comes from an
-    *unseeded* RNG, so two same-seed runs dispatch different event
-    streams — the positive control for ``repro-net sanitize``. The
-    ticks land on the emulation's front-door clock (domain 0 for a
-    partitioned simulator), so on the multiprocess backend the
-    divergence happens *inside a worker* and must be caught by the
-    composed per-domain digests.
-    """
-    import random as _random
-
-    def setup(emulation: Emulation):
-        rng = _random.Random()  # repro: allow-rng (deliberate fault)
-        sim = emulation.sim
-
-        def tick() -> None:
-            if sim.now < seconds:
-                sim.schedule(rng.uniform(1e-4, 1e-3), tick)
-
-        sim.schedule(rng.uniform(1e-4, 1e-3), tick)
-
-    setup._fault_params = float(seconds)
-    return setup
 
 
 class Scenario:
@@ -274,7 +234,6 @@ class Scenario:
         self._registry: Optional[MetricsRegistry] = None  # repro: allow-spec-drift
         self._observe = True  # repro: allow-spec-drift
         self._traffic: List[Callable[[Emulation], Any]] = []
-        self._fault_seconds: Optional[float] = None
         self._fault_plan: Optional[FaultPlan] = None
         #: Resilience knobs (None = plain execution) and an optional
         #: checkpoint to resume from. Parent-side only: neither enters
@@ -361,15 +320,14 @@ class Scenario:
 
         ``reference=True`` selects the exact-time, infinite-hardware
         configuration (:meth:`EmulationConfig.reference`) before
-        applying the remaining knobs. ``seed=`` is accepted here as a
-        convenience for :meth:`seed`.
+        applying the remaining knobs. Placement and seed are not
+        knobs: set them with :meth:`assign`, :meth:`bind` and
+        :meth:`seed`.
         """
         self._check_mutable()
         knobs = dict(knobs)
         if knobs.pop("reference", False):
             self._reference = True
-        if "seed" in knobs:
-            self._seed = knobs.pop("seed")
         valid = set(EmulationConfig.field_names())
         unknown = set(knobs) - valid
         if unknown:
@@ -431,26 +389,9 @@ class Scenario:
 
     def netperf(self, flows: int = 4, seed: Optional[int] = None) -> "Scenario":
         """Canned workload: ``flows`` random-pair bulk TCP streams
-        (the paper's netperf senders)."""
-
-        def setup(emulation: Emulation):
-            from repro.apps.netperf import TcpStream
-
-            rng = RngRegistry(
-                self._seed if seed is None else seed
-            ).stream("netperf-pairs")
-            vns = list(range(emulation.num_vns))
-            rng.shuffle(vns)
-            count = min(flows, len(vns) // 2)
-            return [
-                TcpStream(emulation, vns[2 * i], vns[2 * i + 1])
-                for i in range(count)
-            ]
-
-        # Declarative marker: lets to_spec() ship this workload to
-        # multiprocess workers as plain parameters.
-        setup._netperf_params = (flows, seed)
-        return self.traffic(setup)
+        (the paper's netperf senders) — the registry's ``netperf``
+        entry."""
+        return self.workload("netperf", flows=flows, seed=seed)
 
     def workload(self, name: str, **params) -> "Scenario":
         """Install a named workload from the :mod:`repro.traffic`
@@ -504,14 +445,13 @@ class Scenario:
     def inject_fault(self, seconds: float = 0.01) -> "Scenario":
         """Install a *deliberately nondeterministic* workload for
         ``seconds`` of virtual time (the sanitizer's positive
-        control). Declarative, so it survives the spec round trip and
-        runs inside multiprocess workers — divergence must be
-        detected there, not masked by the parent."""
-        self._check_mutable()
+        control): the registry's ``nondeterminism`` entry, so it
+        survives the spec round trip and runs inside multiprocess
+        workers — divergence must be detected there, not masked by
+        the parent."""
         if seconds <= 0:
             raise ValueError(f"fault duration must be > 0, got {seconds}")
-        self._fault_seconds = float(seconds)
-        return self.traffic(_nondeterminism_fault(seconds))
+        return self.workload("nondeterminism", seconds=float(seconds))
 
     def resilience(
         self,
@@ -592,15 +532,6 @@ class Scenario:
             self._registry = MetricsRegistry()
         return self._registry
 
-    def _resolved_domains(self, config: EmulationConfig) -> int:
-        """Domain count for this scenario: explicit ``num_domains``,
-        else the backend default (cores for multiprocess, 1 for
-        serial), never more than the core count."""
-        domains = config.num_domains
-        if domains <= 0:
-            domains = self._cores if config.backend == "multiprocess" else 1
-        return min(domains, self._cores)
-
     def build(self) -> Emulation:
         """Walk the pipeline and construct the emulation (idempotent);
         traffic callbacks fire here."""
@@ -612,7 +543,7 @@ class Scenario:
             if self._reference
             else EmulationConfig(**self._knobs)
         )
-        num_domains = self._resolved_domains(config)
+        num_domains = config.resolved_domains(self._cores)
         if num_domains > 1:
             self.sim = PartitionedSimulator(
                 num_domains,
@@ -868,28 +799,20 @@ class Scenario:
         """Snapshot this scenario as picklable plain data.
 
         Raises :class:`ValueError` if any registered traffic callback
-        is not declarative (i.e. not from :meth:`netperf` or
-        :meth:`workload`) — closures cannot be shipped to worker
-        processes reproducibly.
+        is not declarative (i.e. not a :meth:`workload` entry) —
+        closures cannot be shipped to worker processes reproducibly.
         """
-        netperf: List[Tuple[int, Optional[int]]] = []
         traffic: List[Tuple[str, Tuple[Tuple[str, Any], ...]]] = []
         for setup in self._traffic:
-            if getattr(setup, "_fault_params", None) is not None:
-                continue  # declarative too: travels as fault_seconds
             entry = getattr(setup, "_traffic_entry", None)
-            if entry is not None:
-                traffic.append(entry)
-                continue
-            params = getattr(setup, "_netperf_params", None)
-            if params is None:
+            if entry is None:
                 raise ValueError(
                     "the multiprocess backend supports declarative "
                     "traffic only (Scenario.netperf / "
                     "Scenario.workload); custom traffic callables "
                     "cannot cross process boundaries"
                 )
-            netperf.append(params)
+            traffic.append(entry)
         return ScenarioSpec(
             name=self.name,
             topology=self._topology,
@@ -904,8 +827,6 @@ class Scenario:
             knobs=dict(self._knobs),
             reference=self._reference,
             seed=self._seed,
-            netperf=tuple(netperf),
-            fault_seconds=self._fault_seconds,
             traffic=tuple(traffic),
             faults=self._fault_plan,
         )
@@ -931,13 +852,9 @@ class Scenario:
         scenario._reference = spec.reference
         scenario._seed = spec.seed
         scenario._observe = False
-        for flows, flow_seed in spec.netperf:
-            scenario.netperf(flows, flow_seed)
-        for entry_name, entry_params in getattr(spec, "traffic", ()):
+        for entry_name, entry_params in spec.traffic:
             scenario.workload(entry_name, **dict(entry_params))
-        if getattr(spec, "fault_seconds", None) is not None:
-            scenario.inject_fault(spec.fault_seconds)
-        if getattr(spec, "faults", None) is not None:
+        if spec.faults is not None:
             scenario.faults(spec.faults)
         return scenario
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field, fields, replace
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.assign import Assignment, greedy_k_clusters, single_core
-from repro.core.bind import Binding, bind_vns, bind_vns_locality
+from repro.core.assign import Assignment
+from repro.core.bind import Binding
 from repro.core.monitor import EmulationMonitor
 from repro.core.node import CoreNode
 from repro.core.pipe import Pipe
@@ -54,36 +54,34 @@ from repro.topology.graph import Topology, TopologyError
 
 @dataclass
 class EmulationConfig:
-    """Knobs for one emulation run."""
+    """How to emulate one run: timing, fidelity and execution backend.
 
-    num_cores: int = 1
-    num_hosts: int = 1
+    Placement (cores, hosts) and the seed are not knobs here: the
+    pipeline's Assign and Bind phases decide them, and
+    :class:`Emulation` takes them from its caller."""
+
     tick_s: float = 1e-4
     debt_handling: bool = False
     payload_caching: bool = True
     model_physical: bool = True
     model_edge_cpu: bool = False
-    binding_strategy: str = "contiguous"
     routing_weight: str = "latency"
     core_spec: CoreSpec = field(default_factory=lambda: DEFAULT_CORE_SPEC)
     edge_spec: EdgeHostSpec = field(default_factory=lambda: DEFAULT_EDGE_SPEC)
     tcp_params: Optional[TcpParams] = None
-    seed: int = 0
     #: Execution backend: ``"serial"`` runs every event domain in this
     #: process under the epoch barrier; ``"multiprocess"`` runs one
     #: worker process per domain group (see repro.engine.parallel).
     backend: str = "serial"
     #: Number of event domains. 0 means "pick the backend default":
     #: 1 for serial (the classic single-kernel engine, byte-identical
-    #: to the pre-partitioning code path) and ``num_cores`` for
+    #: to the pre-partitioning code path) and one per core for
     #: multiprocess.
     num_domains: int = 0
     #: Worker processes for the multiprocess backend. 0 means one per
     #: domain. Digests are worker-count invariant by construction.
     workers: int = 0
 
-    #: Strategies understood by :func:`repro.core.bind.bind_vns`.
-    BINDING_STRATEGIES = ("contiguous", "round_robin")
     ROUTING_WEIGHTS = ("latency", "hops", "cost")
     BACKENDS = ("serial", "multiprocess")
 
@@ -95,15 +93,6 @@ class EmulationConfig:
         construction; call again after mutating fields in place."""
         if self.tick_s < 0:
             raise ValueError(f"tick_s must be >= 0, got {self.tick_s}")
-        if self.num_cores < 1:
-            raise ValueError(f"num_cores must be >= 1, got {self.num_cores}")
-        if self.num_hosts < 1:
-            raise ValueError(f"num_hosts must be >= 1, got {self.num_hosts}")
-        if self.binding_strategy not in self.BINDING_STRATEGIES:
-            raise ValueError(
-                f"unknown binding_strategy {self.binding_strategy!r}; "
-                f"valid: {', '.join(self.BINDING_STRATEGIES)}"
-            )
         if not callable(self.routing_weight) and (
             self.routing_weight not in self.ROUTING_WEIGHTS
         ):
@@ -131,12 +120,14 @@ class EmulationConfig:
                 "the epoch synchronizer would have no lookahead"
             )
 
-    def resolved_domains(self) -> int:
-        """The actual domain count after applying backend defaults."""
+    def resolved_domains(self, num_cores: int) -> int:
+        """The domain count of a run on ``num_cores`` cores: explicit
+        ``num_domains``, else the backend default (one per core for
+        multiprocess, 1 for serial), never more than the core count."""
         if self.num_domains > 0:
-            return min(self.num_domains, self.num_cores)
+            return min(self.num_domains, num_cores)
         if self.backend == "multiprocess":
-            return self.num_cores
+            return num_cores
         return 1
 
     @classmethod
@@ -273,22 +264,31 @@ class EdgeHost:
 
 
 class Emulation:
-    """A running ModelNet instance over a distilled topology."""
+    """A running ModelNet instance over a distilled topology.
+
+    Placement is decided before the Run phase: ``assignment`` (pipes
+    to cores), ``binding`` (VNs to hosts, hosts to cores) and ``seed``
+    come from the caller — usually
+    :class:`~repro.core.phases.ExperimentPipeline` — and are used as
+    given."""
 
     def __init__(
         self,
         sim: Simulator,
         topology: Topology,
-        config: Optional[EmulationConfig] = None,
-        assignment: Optional[Assignment] = None,
-        binding: Optional[Binding] = None,
+        config: EmulationConfig,
+        *,
+        assignment: Assignment,
+        binding: Binding,
+        seed: int,
         routing=None,
         registry: Optional[MetricsRegistry] = None,
     ):
         self.sim = sim
         self.topology = topology
-        self.config = config or EmulationConfig()
-        self.rng = RngRegistry(self.config.seed)
+        self.config = config
+        self.seed = seed
+        self.rng = RngRegistry(seed)
 
         # --- event domains -------------------------------------------------
         # A partitioned simulator exposes ``domains``; the classic
@@ -346,16 +346,8 @@ class Emulation:
                 pipe_id += 1
 
         # --- assignment & POD ----------------------------------------------
-        if assignment is None:
-            if self.config.num_cores == 1:
-                assignment = single_core(topology)
-            else:
-                assignment = greedy_k_clusters(
-                    topology, self.config.num_cores, self.rng.stream("assign")
-                )
-        if assignment.num_cores != self.config.num_cores:
-            self.config.num_cores = assignment.num_cores
         self.assignment = assignment
+        num_cores = assignment.num_cores
         self.pod = PipeOwnershipDirectory(assignment)
         self.pod.install(self.pipes.values())
         #: Pipe id -> pipe, for rehydrating tunneled descriptors that
@@ -365,13 +357,13 @@ class Emulation:
         }
 
         # --- core -> domain map --------------------------------------------
-        if self.num_domains > self.config.num_cores:
+        if self.num_domains > num_cores:
             raise ValueError(
                 f"{self.num_domains} event domains but only "
-                f"{self.config.num_cores} cores; domains partition cores"
+                f"{num_cores} cores; domains partition cores"
             )
         self._domain_of_core: List[int] = [
-            index % self.num_domains for index in range(self.config.num_cores)
+            index % self.num_domains for index in range(num_cores)
         ]
         if self.router is not None:
             self.router.bind(self)
@@ -398,7 +390,7 @@ class Emulation:
 
         # --- cores -----------------------------------------------------------
         self.cores: List[CoreNode] = []
-        for index in range(self.config.num_cores):
+        for index in range(num_cores):
             core_sim = self.domains[self._domain_of_core[index]]
             core = CoreNode(
                 core_sim,
@@ -427,22 +419,6 @@ class Emulation:
             self.cores.append(core)
 
         # --- binding, hosts, VNs ----------------------------------------------
-        if binding is None:
-            if self.num_domains > 1:
-                # Partitioned default: localize each client node's edge
-                # host on the core that owns its access link. The
-                # host-count default (num_hosts=1) would pile every VN
-                # stack, edge wire, and ingress interrupt onto one
-                # domain — see bind_vns_locality's docstring.
-                binding = bind_vns_locality(topology, self.assignment)
-                self.config.num_hosts = binding.num_hosts
-            else:
-                binding = bind_vns(
-                    topology,
-                    self.config.num_hosts,
-                    self.config.num_cores,
-                    self.config.binding_strategy,
-                )
         self.binding = binding
         #: A host lives in the domain of the core it attaches to, so
         #: its uplink/downlink wires and its VNs' stacks all share one

@@ -29,7 +29,12 @@ from repro.topology.graph import Topology, TopologyError
 
 
 class ExperimentPipeline:
-    """Fluent Create -> Distill -> Assign -> Bind -> Run builder."""
+    """Fluent Create -> Distill -> Assign -> Bind -> Run pipeline.
+
+    The pipeline is the one owner of placement and seed: Assign picks
+    the cores, Bind the hosts, and :meth:`run` hands both, with the
+    seed, to the :class:`~repro.core.emulator.Emulation` it builds.
+    The :class:`EmulationConfig` says only how to emulate."""
 
     def __init__(self, sim: Simulator, seed: int = 0):
         self.sim = sim
@@ -38,9 +43,6 @@ class ExperimentPipeline:
         self.distillation: Optional[DistillationResult] = None
         self.assignment: Optional[Assignment] = None
         self.binding: Optional[Binding] = None
-        self._num_cores = 1
-        self._num_hosts = 1
-        self._binding_strategy = "contiguous"
         self._binding_explicit = False
 
     # -- Create -----------------------------------------------------------
@@ -91,9 +93,7 @@ class ExperimentPipeline:
             self.distill()  # default: pure hop-by-hop
         if assignment is not None:
             self.assignment = assignment
-            self._num_cores = assignment.num_cores
             return self
-        self._num_cores = num_cores
         if num_cores == 1:
             self.assignment = single_core(self.distilled)
         else:
@@ -117,11 +117,9 @@ class ExperimentPipeline:
             self.binding = binding
             self._binding_explicit = True
             return self
-        self._num_hosts = num_hosts
-        self._binding_strategy = strategy
         self._binding_explicit = num_hosts != 1
         self.binding = bind_vns(
-            self.distilled, num_hosts, self._num_cores, strategy
+            self.distilled, num_hosts, self.assignment.num_cores, strategy
         )
         return self
 
@@ -139,22 +137,22 @@ class ExperimentPipeline:
             self.bind()
         if config is None:
             config = EmulationConfig()
-        config.num_cores = self._num_cores
+        config.validate()
         # The bind phase runs before the domain count is known, so the
         # partitioned-execution default (locality binding — balanced
         # per-domain load, pipe-latency lookahead on every crossing)
         # is applied here, once the config says how many domains the
         # run will use. An explicit bind() choice always wins.
-        if not self._binding_explicit and config.resolved_domains() > 1:
+        if not self._binding_explicit and (
+            config.resolved_domains(self.assignment.num_cores) > 1
+        ):
             self.binding = bind_vns_locality(self.distilled, self.assignment)
-        config.num_hosts = self.binding.num_hosts
-        config.seed = self.seed
-        config.validate()
         return Emulation(
             self.sim,
             self.distilled,
             config,
             assignment=self.assignment,
             binding=self.binding,
+            seed=self.seed,
             registry=registry,
         )

@@ -375,7 +375,7 @@ def build_report(
     topology = emulation.topology
     return RunReport(
         name=name,
-        seed=emulation.config.seed,
+        seed=emulation.seed,
         config=_jsonable(emulation.config),
         topology={
             "name": topology.name,

@@ -52,7 +52,7 @@ __all__ = [
     "RunBarrier",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ResilienceError):

@@ -18,8 +18,8 @@ aggregated datasets without side channels.
 Registered entries (the paper's workload families):
 
 ``netperf``
-    Bulk TCP streams (Figs. 4-6, Table 1). ``pairing="random"``
-    matches :meth:`Scenario.netperf`'s shuffled pairs;
+    Bulk TCP streams (Figs. 4-6, Table 1). ``pairing="random"`` (what
+    :meth:`Scenario.netperf` installs) draws shuffled pairs;
     ``pairing="sequential"`` pairs VN ``2i -> 2i+1``, the Fig. 4
     chain-capacity layout.
 
@@ -36,6 +36,10 @@ Registered entries (the paper's workload families):
     The Fig. 12 adaptive-overlay experiment: an ACDC tree over random
     members, link perturbation in a window, sampled cost/delay
     summaries.
+
+``nondeterminism``
+    A deliberately unseeded tick for ``seconds`` of virtual time — the
+    sanitizer's positive control (:meth:`Scenario.inject_fault`).
 """
 
 from __future__ import annotations
@@ -127,8 +131,8 @@ def netperf_traffic(
     pairing: str = "random",
 ):
     """``flows`` bulk TCP streams. ``pairing="random"`` draws shuffled
-    sender/receiver pairs from the named ``"netperf-pairs"`` stream
-    (identical to :meth:`Scenario.netperf`); ``"sequential"`` pairs
+    sender/receiver pairs from the named ``"netperf-pairs"`` stream of
+    ``seed`` (default: the emulation's seed); ``"sequential"`` pairs
     VN ``2i -> 2i+1`` — the Fig. 4 chain layout, where each pair owns
     a private path."""
     from repro.apps.netperf import TcpStream
@@ -143,7 +147,7 @@ def netperf_traffic(
         pairs = [(2 * i, 2 * i + 1) for i in range(count)]
     else:
         rng = RngRegistry(
-            emulation.config.seed if seed is None else seed
+            emulation.seed if seed is None else seed
         ).stream("netperf-pairs")
         vns = list(range(emulation.num_vns))
         rng.shuffle(vns)
@@ -398,3 +402,31 @@ class _AcdcHandle:
             )
         out["acdc.max_delay_final"] = self.samples[-1]["max_delay"]
         return out
+
+
+# ----------------------------------------------------------------------
+# nondeterminism: the sanitizer's positive control
+# ----------------------------------------------------------------------
+
+@register_traffic("nondeterminism")
+def nondeterminism_traffic(emulation, seconds: float = 0.01):
+    """Deliberately break determinism for ``seconds`` of virtual time.
+
+    Schedules a self-perpetuating tick whose period comes from an
+    *unseeded* RNG, so two same-seed runs dispatch different event
+    streams — the positive control for ``repro-net sanitize``. The
+    ticks land on the emulation's front-door clock (domain 0 for a
+    partitioned simulator), so on the multiprocess backend the
+    divergence happens *inside a worker* and must be caught by the
+    composed per-domain digests.
+    """
+    import random as _random
+
+    rng = _random.Random()  # repro: allow-rng (deliberate fault)
+    sim = emulation.sim
+
+    def tick() -> None:
+        if sim.now < seconds:
+            sim.schedule(rng.uniform(1e-4, 1e-3), tick)
+
+    sim.schedule(rng.uniform(1e-4, 1e-3), tick)

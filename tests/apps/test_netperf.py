@@ -83,14 +83,11 @@ def test_compute_sender_rate_limited_by_cpu():
     emulation = (
         ExperimentPipeline(sim)
         .create(star_topology(2, bandwidth_bps=100e6, latency_s=0.001))
-        .run(
-            EmulationConfig(
-                model_edge_cpu=True,
-                num_hosts=2,
-                binding_strategy="round_robin",
-            )
-        )
+        .bind(num_hosts=2, strategy="round_robin")
+        .run(EmulationConfig(model_edge_cpu=True))
     )
+    # Sender and sink sit on separate hosts, so each CPU runs one VN.
+    assert len(emulation.hosts) == 2
     sink = UdpSink(emulation.vn(1))
     sender = ComputePerByteSender(emulation.vn(0), 1, instructions_per_byte=200.0)
     sim.run(until=1.0)

@@ -11,10 +11,10 @@ from repro.engine import Simulator
 from repro.topology import chain_topology, dumbbell_topology, star_topology
 
 
-def build(topology, config=None, cores=1, hosts=1, **pipeline_kwargs):
+def build(topology, config=None, cores=1, hosts=1, seed=0):
     sim = Simulator()
     emulation = (
-        ExperimentPipeline(sim)
+        ExperimentPipeline(sim, seed=seed)
         .create(topology)
         .distill(DistillationMode.HOP_BY_HOP)
         .assign(cores)
@@ -171,6 +171,7 @@ def test_multi_core_tunneling():
     """A 2-hop star split across 2 cores tunnels descriptors for
     flows whose access pipes live on different cores."""
     from repro.core.assign import assign_by_vn_groups
+    from repro.core.bind import bind_vns
 
     topology = star_topology(4, bandwidth_bps=10e6, latency_s=0.005)
     clients = sorted(n.id for n in topology.clients())
@@ -181,8 +182,10 @@ def test_multi_core_tunneling():
     emulation = Emulation(
         sim,
         topology,
-        EmulationConfig(num_cores=2, num_hosts=2),
+        EmulationConfig(),
         assignment=assignment,
+        binding=bind_vns(topology, num_hosts=2, num_cores=2),
+        seed=0,
     )
     received = []
     emulation.vn(2).udp_socket(
@@ -199,6 +202,7 @@ def test_same_attachment_vn_pair_delivers_directly():
     """Two VNs bound to the same topology node exchange packets with
     an empty pipe route."""
     import repro.topology as rt
+    from repro.core.assign import single_core
     from repro.core.bind import Binding
     from repro.core.emulator import Emulation
 
@@ -207,7 +211,12 @@ def test_same_attachment_vn_pair_delivers_directly():
     binding = Binding([client, client], [0, 0], [0])
     sim = Simulator()
     emulation = Emulation(
-        sim, topology, EmulationConfig(), binding=binding
+        sim,
+        topology,
+        EmulationConfig(),
+        assignment=single_core(topology),
+        binding=binding,
+        seed=0,
     )
     received = []
     emulation.vn(1).udp_socket(
@@ -239,7 +248,7 @@ def test_emulation_is_deterministic_given_seed():
         topology = dumbbell_topology(
             clients_per_side=3, bottleneck_bandwidth_bps=2e6
         )
-        sim, emulation = build(topology, EmulationConfig(seed=5))
+        sim, emulation = build(topology, seed=5)
         from repro.apps.netperf import TcpStream
 
         # VNs 0-2 are the left clients, 3-5 the right.
@@ -271,12 +280,12 @@ def test_red_qdisc_selected_from_link_attrs():
 
 
 def test_reference_config_overrides():
-    config = EmulationConfig.reference(seed=9, num_cores=2)
+    config = EmulationConfig.reference(routing_weight="hops", num_domains=1)
     assert config.tick_s == 0.0
     assert not config.model_physical
     assert config.exact
-    assert config.seed == 9
-    assert config.num_cores == 2
+    assert config.routing_weight == "hops"
+    assert config.num_domains == 1
 
 
 def test_custom_tcp_params_flow_to_stacks():
@@ -291,20 +300,18 @@ def test_custom_tcp_params_flow_to_stacks():
 def test_config_validate_rejects_bad_values():
     with pytest.raises(ValueError, match="tick_s"):
         EmulationConfig(tick_s=-1e-4)
-    with pytest.raises(ValueError, match="num_cores"):
-        EmulationConfig(num_cores=0)
-    with pytest.raises(ValueError, match="num_hosts"):
-        EmulationConfig(num_hosts=0)
-    with pytest.raises(ValueError, match="binding_strategy"):
-        EmulationConfig(binding_strategy="scattered")
+    with pytest.raises(ValueError, match="num_domains"):
+        EmulationConfig(num_domains=-1)
+    with pytest.raises(ValueError, match="backend"):
+        EmulationConfig(backend="threads")
     with pytest.raises(ValueError, match="routing_weight"):
         EmulationConfig(routing_weight="vibes")
 
 
 def test_config_validate_catches_post_construction_mutation():
     config = EmulationConfig()
-    config.num_cores = 0
-    with pytest.raises(ValueError, match="num_cores"):
+    config.workers = -1
+    with pytest.raises(ValueError, match="workers"):
         config.validate()
 
 

@@ -149,7 +149,7 @@ def test_pipeline_traffic_flows_end_to_end():
         .distill(DistillationMode.WALK_IN, walk_in=1)
         .assign(2)
         .bind(2)
-        .run(EmulationConfig(num_cores=2))
+        .run()
     )
     received = []
     emulation.vn(7).udp_socket(port=9, on_receive=lambda *a: received.append(1))

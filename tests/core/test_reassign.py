@@ -4,8 +4,8 @@ import pytest
 
 from repro.apps.netperf import TcpStream
 from repro.core import EmulationConfig
-from repro.core.assign import Assignment
-from repro.core.bind import Binding
+from repro.core.assign import Assignment, single_core
+from repro.core.bind import Binding, bind_vns
 from repro.core.emulator import Emulation
 from repro.core.reassign import DynamicReassigner
 from repro.engine import Simulator
@@ -29,9 +29,10 @@ def adversarial_emulation():
     emulation = Emulation(
         sim,
         topology,
-        EmulationConfig(num_cores=2, num_hosts=2),
+        EmulationConfig(),
         assignment=assignment,
         binding=binding,
+        seed=0,
     )
     return sim, emulation
 
@@ -39,7 +40,14 @@ def adversarial_emulation():
 def test_requires_multiple_cores():
     topology = star_topology(4)
     sim = Simulator()
-    emulation = Emulation(sim, topology, EmulationConfig())
+    emulation = Emulation(
+        sim,
+        topology,
+        EmulationConfig(),
+        assignment=single_core(topology),
+        binding=bind_vns(topology, num_hosts=1, num_cores=1),
+        seed=0,
+    )
     with pytest.raises(ValueError):
         DynamicReassigner(emulation)
 

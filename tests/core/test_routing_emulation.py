@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import EmulationConfig
+from repro.core.assign import single_core
+from repro.core.bind import bind_vns
 from repro.core.emulator import Emulation
 from repro.core.routing_emulation import (
     INFINITY_METRIC,
@@ -122,7 +124,13 @@ def test_emulation_with_dv_routing_delivers_and_reroutes():
     sim = Simulator()
     protocol = DistanceVectorRouting(sim, topology, processing_delay_s=0.05)
     emulation = Emulation(
-        sim, topology, EmulationConfig.reference(), routing=protocol
+        sim,
+        topology,
+        EmulationConfig.reference(),
+        assignment=single_core(topology),
+        binding=bind_vns(topology, num_hosts=1, num_cores=1),
+        seed=0,
+        routing=protocol,
     )
     received = []
     emulation.vn(1).udp_socket(port=9, on_receive=lambda *a: received.append(sim.now))

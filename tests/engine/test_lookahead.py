@@ -165,6 +165,7 @@ def _chain_emulation():
     owns c1's side (link r1-c1)."""
     import repro.topology as rt
     from repro.core.assign import assign_by_vn_groups
+    from repro.core.bind import bind_vns_locality
     from repro.core.emulator import Emulation, EmulationConfig
 
     topology = rt.Topology("chain2d")
@@ -177,8 +178,15 @@ def _chain_emulation():
     topology.add_link(r1.id, c1.id, 10e6, 0.005)
     assignment = assign_by_vn_groups(topology, [[c0.id], [c1.id]])
     sim = PartitionedSimulator(2, lookahead=1e-6)
-    config = EmulationConfig(num_cores=2, num_hosts=2)
-    emulation = Emulation(sim, topology, config, assignment=assignment)
+    config = EmulationConfig()
+    emulation = Emulation(
+        sim,
+        topology,
+        config,
+        assignment=assignment,
+        binding=bind_vns_locality(topology, assignment),
+        seed=0,
+    )
     return sim, emulation, config
 
 

@@ -119,7 +119,7 @@ def test_scheduler_services_everything_eventually(seed, tick):
 def test_emulation_packet_conservation(seed, cores):
     """At the whole-emulator level: every packet that entered either
     exited, was dropped somewhere accountable, or is still inside."""
-    from repro.core import DistillationMode, EmulationConfig, ExperimentPipeline
+    from repro.core import DistillationMode, ExperimentPipeline
     from repro.engine import Simulator
     from repro.topology import ring_topology
 
@@ -131,7 +131,7 @@ def test_emulation_packet_conservation(seed, cores):
         .distill(DistillationMode.HOP_BY_HOP)
         .assign(cores)
         .bind(2)
-        .run(EmulationConfig(num_cores=cores))
+        .run()
     )
     sinks = [
         emulation.vn(vn).udp_socket(port=9) for vn in range(emulation.num_vns)

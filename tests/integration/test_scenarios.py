@@ -13,6 +13,8 @@ from repro.core import (
     ExperimentPipeline,
     FaultApplier,
 )
+from repro.core.assign import single_core
+from repro.core.bind import bind_vns
 from repro.core.emulator import Emulation
 from repro.core.routing_emulation import DistanceVectorRouting
 from repro.engine import Simulator
@@ -66,7 +68,13 @@ def test_tcp_through_dv_routing_convergence():
     sim = Simulator()
     protocol = DistanceVectorRouting(sim, topology, processing_delay_s=0.05)
     emulation = Emulation(
-        sim, topology, EmulationConfig.reference(), routing=protocol
+        sim,
+        topology,
+        EmulationConfig.reference(),
+        assignment=single_core(topology),
+        binding=bind_vns(topology, num_hosts=1, num_cores=1),
+        seed=0,
+        routing=protocol,
     )
     emulation.vn(1).tcp_listen(80, lambda c: None)
     conn = emulation.vn(0).tcp_connect(
@@ -165,7 +173,7 @@ def test_interposed_apps_over_full_emulation():
         .distill(DistillationMode.WALK_IN, walk_in=1)
         .assign(2)
         .bind(2)
-        .run(EmulationConfig(num_cores=2))
+        .run()
     )
     names, envs = interpose(
         emulation, hostnames={0: "client.example", 7: "server.example"}

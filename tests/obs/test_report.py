@@ -96,7 +96,7 @@ def test_run_report_json_round_trip(tmp_path):
     assert loaded.name == "round-trip"
     assert loaded.wall_time_s == 1.25
     assert loaded.topology["pipes"] == len(emulation.pipes)
-    assert loaded.config["num_cores"] == 2
+    assert loaded.topology["cores"] == 2
 
 
 def test_run_report_csv_flattens_histograms():

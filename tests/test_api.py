@@ -82,6 +82,20 @@ def test_scenario_config_rejects_unknown_knobs():
         scenario.config(nope=1)
 
 
+def test_placement_and_seed_are_not_config_knobs():
+    """Cores, hosts and seed are set by assign/bind/seed only; naming
+    them as config knobs fails loudly instead of being ignored."""
+    scenario = Scenario.from_topology(ring_topology(4, 1))
+    with pytest.raises(ValueError, match=r"\['num_cores'\]; valid: .*tick_s"):
+        scenario.config(num_cores=2)
+    with pytest.raises(ValueError, match=r"\['seed'\]; valid: .*tick_s"):
+        scenario.config(seed=7)
+    with pytest.raises(ValueError, match=r"\['num_hosts'\]; valid: .*hosts"):
+        scenario.to_spec().with_overrides(num_hosts=4)
+    with pytest.raises(TypeError, match="binding_strategy"):
+        EmulationConfig(binding_strategy="round_robin")
+
+
 def test_scenario_reference_mode_is_exact():
     report = (
         Scenario.from_topology(dumbbell_topology(clients_per_side=2))
@@ -114,7 +128,7 @@ def test_scenario_frozen_after_build():
     with pytest.raises(RuntimeError, match="frozen"):
         scenario.assign(cores=2)
     with pytest.raises(RuntimeError, match="frozen"):
-        scenario.config(seed=9)
+        scenario.seed(9)
 
 
 def test_scenario_run_validates_until():
@@ -205,15 +219,16 @@ def test_with_overrides_resolves_each_knob_family():
         cores=3,              # drops the stale assignment
         hosts=3,              # drops the stale binding
         tick_s=0.01,          # EmulationConfig knob
-        flows=5,              # rewrites netperf tuples + traffic entries
+        flows=5,              # every traffic entry declaring it
     )
     assert derived.seed == 21
     assert derived.mode is DistillationMode.HOP_BY_HOP
     assert derived.cores == 3 and derived.assignment is None
     assert derived.hosts == 3 and derived.binding is None
     assert derived.knobs["tick_s"] == 0.01
-    assert derived.netperf == ((5, 4),)
-    assert dict(derived.traffic[0][1])["flows"] == 5
+    traffic = {name: dict(params) for name, params in derived.traffic}
+    assert traffic["netperf"] == {"flows": 5, "seed": 4}
+    assert traffic["udp-cbr"]["flows"] == 5
     # The source spec is untouched (frozen derivation, not mutation).
     assert spec.seed == 11 and spec.assignment is not None
 
@@ -232,7 +247,7 @@ def test_variants_expand_in_insertion_order_last_axis_fastest():
         .netperf(flows=2)
     )
     specs = scenario.variants(seed=[1, 2], flows=[2, 4])
-    assert [(s.seed, s.netperf[0][0]) for s in specs] == [
+    assert [(s.seed, dict(s.traffic[0][1])["flows"]) for s in specs] == [
         (1, 2), (1, 4), (2, 2), (2, 4),
     ]
 

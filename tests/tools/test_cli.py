@@ -126,7 +126,7 @@ def test_run_writes_run_report(tmp_path, capsys):
     assert report.metric("pipe.arrivals") > 0
     assert report.metric("sched.wakeups{core=0}") > 0
     assert report.metric_sum("core.utilization") > 0
-    assert report.config["num_cores"] == 2
+    assert report.topology["cores"] == 2
     assert "metric,value" in csv_path.read_text()
 
 
