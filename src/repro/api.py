@@ -103,7 +103,9 @@ class ScenarioSpec:
     walk_out: int
     cores: int
     assignment: Optional[Assignment]
-    hosts: int
+    #: ``None`` = the Bind phase's default (one host, or locality
+    #: binding on a partitioned run); see :meth:`Scenario.bind`.
+    hosts: Optional[int]
     strategy: str
     binding: Optional[Binding]
     knobs: dict
@@ -161,7 +163,7 @@ class ScenarioSpec:
                 updates["cores"] = int(value)
                 updates["assignment"] = None
             elif key == "hosts":
-                updates["hosts"] = int(value)
+                updates["hosts"] = None if value is None else int(value)
                 updates["binding"] = None
             elif key == "faults":
                 faults = (
@@ -222,7 +224,7 @@ class Scenario:
         self._walk_out = 0
         self._cores = 1
         self._assignment: Optional[Assignment] = None
-        self._hosts = 1
+        self._hosts: Optional[int] = None
         self._strategy = "contiguous"
         self._binding: Optional[Binding] = None
         self._knobs: dict = {}
@@ -299,13 +301,17 @@ class Scenario:
 
     def bind(
         self,
-        hosts: int = 1,
+        hosts: Optional[int] = None,
         strategy: str = "contiguous",
         binding: Optional[Binding] = None,
     ) -> "Scenario":
-        """Bind VNs onto ``hosts`` edge machines."""
+        """Bind VNs onto ``hosts`` edge machines. Without ``hosts``
+        the Bind phase picks: one host on a serial run, locality
+        binding (one host per client node, on the core owning its
+        access link) on a partitioned one. An explicit ``hosts``,
+        1 included, is always honoured."""
         self._check_mutable()
-        if binding is None and hosts < 1:
+        if binding is None and hosts is not None and hosts < 1:
             raise ValueError(f"hosts must be >= 1, got {hosts}")
         self._hosts = hosts
         self._strategy = strategy
@@ -449,8 +455,6 @@ class Scenario:
         survives the spec round trip and runs inside multiprocess
         workers — divergence must be detected there, not masked by
         the parent."""
-        if seconds <= 0:
-            raise ValueError(f"fault duration must be > 0, got {seconds}")
         return self.workload("nondeterminism", seconds=float(seconds))
 
     def resilience(

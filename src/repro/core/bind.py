@@ -127,7 +127,7 @@ def bind_vns_locality(
     core that owns that node's access link.
 
     This is the partitioned-execution default (see
-    ``ExperimentPipeline.run``), fixing two problems the host-count
+    ``ExperimentPipeline.bind``), fixing two problems the host-count
     bindings have there. First, load: with ``num_hosts=1`` every VN
     stack, edge link, and ingress interrupt lands on host 0's core —
     one domain dispatches ~4x the events of the others on ring-style

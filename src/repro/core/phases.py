@@ -43,7 +43,6 @@ class ExperimentPipeline:
         self.distillation: Optional[DistillationResult] = None
         self.assignment: Optional[Assignment] = None
         self.binding: Optional[Binding] = None
-        self._binding_explicit = False
 
     # -- Create -----------------------------------------------------------
 
@@ -106,21 +105,33 @@ class ExperimentPipeline:
 
     def bind(
         self,
-        num_hosts: int = 1,
+        num_hosts: Optional[int] = None,
         strategy: str = "contiguous",
         binding: Optional[Binding] = None,
     ) -> "ExperimentPipeline":
-        """Bind VNs to edge hosts and hosts to cores."""
+        """Bind VNs to edge hosts and hosts to cores.
+
+        Without ``num_hosts`` (or a precomputed ``binding``), the
+        default follows the simulator: one edge host on a single
+        event domain, locality binding
+        (:func:`~repro.core.bind.bind_vns_locality`: balanced
+        per-domain edge load, pipe-latency lookahead on every
+        crossing) on a partitioned one. An explicit ``num_hosts``,
+        1 included, is always honoured, and :meth:`run` uses the
+        result as given."""
         if self.assignment is None:
             self.assign()
-        if binding is not None:
-            self.binding = binding
-            self._binding_explicit = True
-            return self
-        self._binding_explicit = num_hosts != 1
-        self.binding = bind_vns(
-            self.distilled, num_hosts, self.assignment.num_cores, strategy
-        )
+        if binding is None:
+            if num_hosts is None and len(getattr(self.sim, "domains", ())) > 1:
+                binding = bind_vns_locality(self.distilled, self.assignment)
+            else:
+                binding = bind_vns(
+                    self.distilled,
+                    1 if num_hosts is None else num_hosts,
+                    self.assignment.num_cores,
+                    strategy,
+                )
+        self.binding = binding
         return self
 
     # -- Run -------------------------------------------------------------------
@@ -138,15 +149,6 @@ class ExperimentPipeline:
         if config is None:
             config = EmulationConfig()
         config.validate()
-        # The bind phase runs before the domain count is known, so the
-        # partitioned-execution default (locality binding — balanced
-        # per-domain load, pipe-latency lookahead on every crossing)
-        # is applied here, once the config says how many domains the
-        # run will use. An explicit bind() choice always wins.
-        if not self._binding_explicit and (
-            config.resolved_domains(self.assignment.num_cores) > 1
-        ):
-            self.binding = bind_vns_locality(self.distilled, self.assignment)
         return Emulation(
             self.sim,
             self.distilled,

@@ -702,7 +702,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--walk-in", type=int, default=1)
     run.add_argument("--walk-out", type=int, default=0)
     run.add_argument("--cores", type=int, default=1)
-    run.add_argument("--hosts", type=int, default=1)
+    run.add_argument(
+        "--hosts", type=int, default=None,
+        help="edge hosts (default: 1, or locality binding on a "
+        "partitioned run)",
+    )
     run.add_argument(
         "--seconds", type=float, default=None,
         help="virtual seconds to run (default 3.0; --resume defaults "

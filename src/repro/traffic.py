@@ -422,6 +422,8 @@ def nondeterminism_traffic(emulation, seconds: float = 0.01):
     """
     import random as _random
 
+    if seconds <= 0:
+        raise ValueError(f"fault duration must be > 0, got {seconds}")
     rng = _random.Random()  # repro: allow-rng (deliberate fault)
     sim = emulation.sim
 

@@ -440,6 +440,17 @@ def test_inject_fault_survives_the_spec_round_trip():
     assert Scenario.from_spec(spec).to_spec() == spec
 
 
+def test_inject_fault_rejects_a_nonpositive_duration_on_every_path():
+    spec = _ring_scenario().inject_fault(0.01).to_spec()
+    for scenario in (
+        _ring_scenario().inject_fault(0),
+        _ring_scenario().workload("nondeterminism", seconds=-1),
+        Scenario.from_spec(spec.with_overrides(seconds=0)),
+    ):
+        with pytest.raises(ValueError, match="fault duration must be > 0"):
+            scenario.build()
+
+
 def test_injected_fault_is_detected_inside_multiprocess_workers():
     """The regression: a fault installed via a bare closure was
     rejected by to_spec and silently never ran in the workers, so

@@ -96,6 +96,26 @@ def test_placement_and_seed_are_not_config_knobs():
         EmulationConfig(binding_strategy="round_robin")
 
 
+def test_bind_default_follows_the_domains_and_a_named_host_count_wins():
+    """No host count: one host serially, locality binding (one host
+    per client node) when partitioned. A named count, 1 included, is
+    the placement the run gets."""
+    topology = ring_topology(4, 2)
+    clients = len(topology.clients())
+
+    def hosts(scenario):
+        return len(scenario.build().hosts)
+
+    assert hosts(Scenario.from_topology(topology).assign(cores=2)) == 1
+    partitioned = Scenario.from_topology(topology).assign(cores=2).backend(domains=2)
+    assert hosts(partitioned) == clients
+    assert hosts(
+        Scenario.from_topology(topology).assign(cores=2).bind(hosts=1).backend(domains=2)
+    ) == 1
+    spec = partitioned.to_spec().with_overrides(hosts=1)
+    assert hosts(Scenario.from_spec(spec)) == 1
+
+
 def test_scenario_reference_mode_is_exact():
     report = (
         Scenario.from_topology(dumbbell_topology(clients_per_side=2))
@@ -129,6 +149,8 @@ def test_scenario_frozen_after_build():
         scenario.assign(cores=2)
     with pytest.raises(RuntimeError, match="frozen"):
         scenario.seed(9)
+    with pytest.raises(RuntimeError, match="frozen"):
+        scenario.config(tick_s=1e-3)
 
 
 def test_scenario_run_validates_until():
