@@ -672,21 +672,20 @@ class Scenario:
             registry=registry if registry.enabled else None,
             name=self.name,
             wall_time_s=wall,
+            stats=result.stats if result is not None else None,
         )
         self.report = report
         if result is None:
-            # Workload-level results (``handle.metrics()``), only
-            # meaningful when the clock ran in *this* process.
+            # Workload-level results (``handle.metrics()``) are derived
+            # values, not additive counters: only a run whose clock ran
+            # in *this* process reports them.
             for handle in self.traffic_handles:
                 metrics = getattr(handle, "metrics", None)
                 if callable(metrics):
                     for key, value in metrics().items():
                         report.metrics[f"traffic.{key}"] = value
         else:
-            # Worker-resident state the parent cannot patch (TCP
-            # stacks, edge CPUs) arrives as a metric overlay.
             self.mp_result = result
-            report.metrics.update(result.metric_overlay)
             abort = result.budget_error
         if barrier is None:
             return report
@@ -837,12 +836,9 @@ class Scenario:
 
     @classmethod
     def from_spec(cls, spec: ScenarioSpec) -> "Scenario":
-        """Reconstruct a fresh, unbuilt scenario from a spec.
-
-        Workers build with observability off — statistics travel back
-        as raw object state, and hot-path wall-clock timers would
-        only measure the worker's half of the barrier anyway.
-        """
+        """Reconstruct a fresh, unbuilt scenario from a spec, with
+        observability off (a multiprocess worker turns it on when its
+        parent's run observes)."""
         scenario = cls(spec.topology, name=spec.name)
         scenario._mode = spec.mode
         scenario._walk_in = spec.walk_in

@@ -27,9 +27,8 @@ DOM001    ``.schedule`` / ``.at`` / ``.post`` / ``.call_soon`` invoked
           Cross-domain work must go through ``DomainRouter.send``.
 DOM002    Attribute write on another domain's kernel
           (``sim.domains[i]._now = t``, or via an alias). Barrier-side
-          executors use the sanctioned facades
-          (:meth:`~repro.engine.sync.PartitionedSimulator.fast_forward`,
-          :meth:`~repro.engine.domain.EventDomain.restore_progress`)
+          executors use the sanctioned facade
+          (:meth:`~repro.engine.sync.PartitionedSimulator.fast_forward`)
           or carry an explicit allow.
 DOM003    Method call on a peer core/host fetched from an ownership
           table (``emulation.cores[i].physical_ingress(...)``) in a
@@ -81,7 +80,7 @@ RULES: Dict[str, tuple] = {
     "DOM002": (
         "cross-domain-state",
         "attribute write on another domain's kernel; use the barrier "
-        "facades (fast_forward/restore_progress) or DomainRouter.send",
+        "facade (fast_forward) or DomainRouter.send",
     ),
     "DOM003": (
         "unrouted-peer-call",

@@ -301,7 +301,7 @@ class FaultApplier:
             {"time_s": round(when, 9), "kind": kind, "links": list(links)}
         )
 
-    # -- state capture (checkpoints, multiprocess stats) -------------------
+    # -- state capture (checkpoints) ---------------------------------------
 
     def link_state(self) -> Dict[int, Tuple[bool, float, float, float]]:
         """(up, bandwidth, latency, loss) for every plan-touched link
@@ -317,24 +317,3 @@ class FaultApplier:
                 pipe.loss_rate,
             )
         return out
-
-    def counters(self) -> dict:
-        """Serializable applier state, shipped from multiprocess
-        workers (every worker applies the full timeline identically,
-        so any one worker's view is authoritative)."""
-        return {
-            "injected": self.injected,
-            "recovered": self.recovered,
-            "perturbations": self.perturbations_applied,
-            "applied": self.applied,
-            "events": list(self.events_log),
-        }
-
-    def absorb(self, counters: dict) -> None:
-        """Adopt a worker's applier state into this (never-run,
-        parent-side) applier."""
-        self.injected = counters.get("injected", 0)
-        self.recovered = counters.get("recovered", 0)
-        self.perturbations_applied = counters.get("perturbations", 0)
-        self.applied = counters.get("applied", 0)
-        self.events_log = list(counters.get("events", ()))

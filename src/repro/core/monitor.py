@@ -10,8 +10,8 @@ physical/virtual drop taxonomy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Tuple
 
 
 @dataclass
@@ -33,6 +33,16 @@ class AccuracyReport:
             f"err(mean/p99/max)={self.mean_error_s*1e6:.1f}/"
             f"{self.p99_error_s*1e6:.1f}/{self.max_error_s*1e6:.1f} us"
         )
+
+
+def error_summary(samples: List[float]) -> Tuple[float, float, float]:
+    """``(mean, p99, max)`` of per-packet error samples, zeros when
+    there are none."""
+    if not samples:
+        return 0.0, 0.0, 0.0
+    ordered = sorted(samples)
+    p99 = ordered[min(len(ordered) - 1, int(0.99 * len(ordered)))]
+    return sum(ordered) / len(ordered), p99, ordered[-1]
 
 
 class EmulationMonitor:
@@ -103,37 +113,9 @@ class EmulationMonitor:
             + self.physical_drops_uplink
         )
 
-    def export(self, registry, virtual_drops: int = 0) -> None:
-        """Publish this monitor's counters and error summary into an
-        observability registry under ``accuracy.*`` names."""
-        accuracy = self.report(virtual_drops=virtual_drops)
-        registry.gauge("accuracy.packets_entered").set(self.packets_entered)
-        registry.gauge("accuracy.packets_delivered").set(self.packets_delivered)
-        registry.gauge("accuracy.packets_unroutable").set(self.packets_unroutable)
-        registry.gauge("accuracy.tunnels").set(self.tunnels)
-        registry.gauge("accuracy.virtual_drops").set(virtual_drops)
-        registry.gauge("accuracy.physical_drops").set(self.physical_drops)
-        registry.gauge("accuracy.physical_drops_ring").set(self.physical_drops_ring)
-        registry.gauge("accuracy.physical_drops_egress").set(
-            self.physical_drops_egress
-        )
-        registry.gauge("accuracy.physical_drops_uplink").set(
-            self.physical_drops_uplink
-        )
-        registry.gauge("accuracy.error_samples").set(len(self.error_samples))
-        registry.gauge("accuracy.mean_error_s").set(accuracy.mean_error_s)
-        registry.gauge("accuracy.p99_error_s").set(accuracy.p99_error_s)
-        registry.gauge("accuracy.max_error_s").set(accuracy.max_error_s)
-
     def report(self, virtual_drops: int = 0) -> AccuracyReport:
         """Summarize the run's fidelity (errors + drop taxonomy)."""
-        samples = sorted(self.error_samples)
-        if samples:
-            mean = sum(samples) / len(samples)
-            p99 = samples[min(len(samples) - 1, int(0.99 * len(samples)))]
-            worst = samples[-1]
-        else:
-            mean = p99 = worst = 0.0
+        mean, p99, worst = error_summary(self.error_samples)
         return AccuracyReport(
             packets_delivered=self.packets_delivered,
             packets_entered=self.packets_entered,

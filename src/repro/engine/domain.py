@@ -253,29 +253,13 @@ class EventDomain:
             "pending": len(self._heap),
         }
 
-    def restore_progress(self, dispatched: int, now: float) -> None:
-        """Adopt externally-measured progress (barrier-side use only).
-
-        The multiprocess merge path patches the parent's never-run
-        kernels with the clock and dispatch count their worker-side
-        twins actually reached. This is the sanctioned write API for
-        that: callers outside the kernel must not poke ``_now`` /
-        ``_dispatched`` directly (the DOM002 static rule enforces it).
-        """
-        self._dispatched = int(dispatched)
-        if now > self._now:
-            self._now = float(now)
-
-    def fast_forward(self, until: float, strict: bool = True) -> None:
+    def fast_forward(self, until: float) -> None:
         """Advance an *idle* clock to ``until`` (barrier-side use only).
 
-        When ``strict`` (the default), raises if events remain at or
-        before ``until`` — fast-forward aligns drained domains with a
-        run target, it never skips work. ``strict=False`` is for the
-        parent-side stat merge, which aligns the clocks of *never-run*
-        twin kernels whose heaps still hold the initial schedule.
+        Raises if events remain at or before ``until``: fast-forward
+        aligns drained domains with a run target, it never skips work.
         """
-        if strict and self.next_event_time() <= until:
+        if self.next_event_time() <= until:
             raise SimulationError(
                 f"domain {self.domain_id} still has events at or before "
                 f"t={until}; cannot fast-forward over pending work"

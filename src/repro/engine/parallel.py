@@ -49,6 +49,13 @@ already seen and digest-checked at the last one, so a SIGKILL mid-run
 yields the same composed digest as an undisturbed run and the barrier
 hook sees each barrier once.
 
+Statistics take the serial path: at ``finish`` every worker runs
+:meth:`RunStats.gather <repro.obs.report.RunStats.gather>` over the
+domains it owns and ships the result; the parent publishes the
+:meth:`~repro.obs.report.RunStats.merge` of the parts as
+``MultiprocessResult.stats``. The parent's own emulation never ran,
+and nothing reads or writes its statistics.
+
 Workers account their loop time as ``compute_s`` (injecting mail and
 running windows), ``exchange_s`` (blocked sending to or receiving from
 a peer, or at a barrier on the parent) and ``codec_s`` (encoding and
@@ -72,6 +79,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.domain import INFINITY, run_digest
 from repro.engine.sync import DomainMessage, MSG_HOST
+from repro.obs.report import RunStats
 from repro.resilience.policy import (
     BudgetExceeded,
     ResilienceError,
@@ -245,10 +253,6 @@ class PeerSync:
     ``(time, src_domain, seq)`` order and returns the full effective
     next-event vector, which every worker builds from the same
     exchanged values — the vector the serial :meth:`sync` returns.
-
-    ``last_batch`` is the mail injected by the latest call: the loop's
-    final call delivers mail into no epoch, so callers subtract it
-    from the router's count.
     """
 
     def __init__(self, sim, emulation, groups, index: int, mesh: PeerMesh,
@@ -260,7 +264,6 @@ class PeerSync:
         self._owner = {d: w for w, group in enumerate(groups) for d in group}
         self._mesh = mesh
         self._timing = timing
-        self.last_batch = 0
         self._mark = perf_counter()  # repro: allow-wallclock
 
     def __call__(self) -> List[float]:
@@ -315,7 +318,6 @@ class PeerSync:
         timing["codec_s"] += self._mark - start
         inbox.sort(key=lambda m: (m.time, m.src_domain, m.seq))
         sim.router.inject(domains, inbox)
-        self.last_batch = len(inbox)
         return next_times
 
 
@@ -323,13 +325,14 @@ class PeerSync:
 # Worker side
 # ----------------------------------------------------------------------
 
-def _build_from_spec(spec):
+def _build_from_spec(spec, observe: bool):
     """Rebuild the scenario in this process (identical by determinism
     of the build path) and return (partitioned sim, emulation). The
-    parent checked the spec partitions before spawning."""
+    parent checked the spec partitions before spawning; ``observe``
+    arms the hot-path timers when the parent's run observes."""
     from repro.api import Scenario
 
-    scenario = Scenario.from_spec(spec)
+    scenario = Scenario.from_spec(spec).observe(observe)
     emulation = scenario.build()
     return scenario.sim, emulation
 
@@ -343,97 +346,6 @@ def _domain_digests(sim, owned: Sequence[int]) -> Dict[int, Tuple[str, int]]:
     }
 
 
-def _collect_worker_stats(emulation, sim, owned: Sequence[int]) -> dict:
-    """Everything the parent needs to reconstruct run statistics."""
-    owned_set = set(owned)
-    cores: Dict[int, Dict[str, Any]] = {}
-    for core in emulation.cores:
-        if core.domain_id not in owned_set:
-            continue
-        cores[core.index] = {
-            "wakeups": core.scheduler.wakeups,
-            "hops_serviced": core.scheduler.hops_serviced,
-            "cpu_busy_s": core.cpu_busy_s,
-            "packets_processed": core.packets_processed,
-            "hops_processed": core.hops_processed,
-            "tick_overruns": core.tick_overruns,
-            "tunnels_sent": core.tunnels_sent,
-            "tunnels_received": core.tunnels_received,
-            "nic_in_bytes": (
-                core.ingress_link.bytes_sent if core.ingress_link else 0
-            ),
-            "nic_out_bytes": (
-                core.egress_link.bytes_sent if core.egress_link else 0
-            ),
-        }
-    pipes: Dict[int, Tuple] = {}
-    domain_of_core = emulation._domain_of_core
-    for pipe in emulation.pipes.values():
-        if domain_of_core[pipe.owner] not in owned_set:
-            continue
-        pipes[pipe.id] = (
-            pipe.arrivals,
-            pipe.departures,
-            pipe.drops_overflow,
-            pipe.drops_random,
-            pipe.drops_down,
-            pipe.bytes_accepted,
-            pipe.bytes_through,
-            pipe.peak_backlog,
-        )
-    hosts: Dict[int, Tuple[int, int]] = {}
-    edge_cpu_busy = 0.0
-    edge_switches = 0
-    for host in emulation.hosts:
-        if emulation._domain_of_host[host.index] not in owned_set:
-            continue
-        hosts[host.index] = (host.uplink.bytes_sent, host.downlink.bytes_sent)
-        if host.cpu is not None:
-            stats = host.cpu.stats()
-            edge_cpu_busy += stats["busy_s"]
-            edge_switches += stats["context_switches"]
-    tcp: Dict[str, int] = {}
-    for vn in emulation.vns:
-        if emulation.domain_of_vn(vn.vn_id) not in owned_set:
-            continue
-        for key, value in vn.stack.tcp_stats().items():
-            tcp[key] = tcp.get(key, 0) + value
-    monitor = emulation.monitor
-    return {
-        # Progress of domains this worker *owns* — a local read that the
-        # ownership model cannot distinguish from a foreign peek.
-        "domains": {
-            d: (sim.domains[d]._dispatched, sim.domains[d]._now)  # repro: allow-cross-domain-clock
-            for d in owned
-        },
-        "cores": cores,
-        "pipes": pipes,
-        "hosts": hosts,
-        "edge_cpu": (edge_cpu_busy, edge_switches),
-        "tcp": tcp,
-        "monitor": {
-            "packets_entered": monitor.packets_entered,
-            "packets_delivered": monitor.packets_delivered,
-            "packets_unroutable": monitor.packets_unroutable,
-            "physical_drops_ring": monitor.physical_drops_ring,
-            "physical_drops_egress": monitor.physical_drops_egress,
-            "physical_drops_uplink": monitor.physical_drops_uplink,
-            "tunnels": monitor.tunnels,
-            "error_samples": list(monitor.error_samples),
-        },
-        "digests": _domain_digests(sim, owned),
-        # Each worker routes its own lookups: the run's work is the sum.
-        "routing": emulation.routing.stats(),
-        # Every worker applies the whole fault timeline identically;
-        # the parent adopts the view of the worker owning domain 0.
-        "faults": (
-            emulation.fault_applier.counters()
-            if emulation.fault_applier is not None
-            else None
-        ),
-    }
-
-
 def _worker_main(
     conn,
     spec,
@@ -441,6 +353,7 @@ def _worker_main(
     worker_index: int,
     heartbeat_interval_s: float,
     peers: Dict[int, socket.socket],
+    observe: bool,
 ) -> None:
     """One worker: rebuild, then serve commands until 'finish' (or
     'stop', which exits without a reply). ``groups[w]`` lists the
@@ -508,7 +421,7 @@ def _worker_main(
         target=_beat, daemon=True, name=f"repro-hb-{worker_index}"
     ).start()
     try:
-        sim, emulation = _build_from_spec(spec)
+        sim, emulation = _build_from_spec(spec, observe)
         for d in owned:
             sim.domains[d].enable_digest()
         _send(("ready",))
@@ -547,10 +460,7 @@ def _worker_main(
                         (
                             "done",
                             {d: sim.domains[d].next_event_time() for d in owned},
-                            (
-                                sim.epochs,
-                                sim.router.messages_routed - sync.last_batch,
-                            ),
+                            (sim.epochs, sim.router.messages_routed),
                             _domain_digests(sim, owned),
                         )
                     )
@@ -559,9 +469,10 @@ def _worker_main(
                 if until is not None:
                     sim.fast_forward(until, owned)
                 stop_beating.set()
-                stats = _collect_worker_stats(emulation, sim, owned)
-                stats["timing"] = timing
-                _send(("result", stats))
+                stats = RunStats.gather(emulation, owned)
+                for name, seconds in timing.items():
+                    stats.put(f"parallel.worker_{name}", seconds, worker=worker_index)
+                _send(("result", (stats, _domain_digests(sim, owned))))
                 conn.close()
                 return
             elif op == "stop":
@@ -602,12 +513,11 @@ class MultiprocessResult:
     def __init__(self) -> None:
         self.epochs = 0
         self.messages_routed = 0
-        self.events_by_domain: Dict[int, int] = {}
         self.domain_digests: Dict[int, str] = {}
         self.domain_digest_events: Dict[int, int] = {}
-        #: Flat metric overrides for stats that live in worker object
-        #: state the parent cannot patch (TCP stacks, edge CPUs).
-        self.metric_overlay: Dict[str, Any] = {}
+        #: The run's statistics: the merge of what every worker
+        #: gathered over its domains.
+        self.stats = RunStats()
         self.wall_time_s = 0.0
         #: Worker spawn + per-process scenario rebuild time, kept out
         #: of ``wall_time_s`` so events/s compares run phases across
@@ -626,6 +536,10 @@ class MultiprocessResult:
     def outcome(self) -> str:
         """``completed``, or ``aborted`` on budget exhaustion."""
         return "completed" if self.budget_error is None else "aborted"
+
+    @property
+    def events_by_domain(self) -> Dict[int, int]:
+        return self.domain_digest_events
 
     @property
     def events_dispatched(self) -> int:
@@ -657,9 +571,9 @@ def run_multiprocess(
     chaos_signal: int = _signal.SIGKILL,
 ) -> MultiprocessResult:
     """Run a built partitioned ``scenario`` to ``until`` across
-    supervised worker processes, patch its (never-run) parent objects
-    with the merged statistics, and return the
-    :class:`MultiprocessResult`.
+    supervised worker processes and return the
+    :class:`MultiprocessResult`, whose ``stats`` merge what every
+    worker gathered over its domains.
 
     ``workers == 0`` means one per domain, capped at the number of CPUs
     this process may run on (oversubscription buys no parallelism and
@@ -738,7 +652,10 @@ def run_multiprocess(
         parent_conn, child_conn = ctx.Pipe()
         proc = ctx.Process(
             target=_worker_main,
-            args=(child_conn, spec, owned, index, heartbeat_interval_s, peers),
+            args=(
+                child_conn, spec, owned, index, heartbeat_interval_s, peers,
+                scenario.registry.enabled,
+            ),
             daemon=True,
         )
         proc.start()
@@ -754,7 +671,7 @@ def run_multiprocess(
         epoch_timeout_s=epoch_timeout_s,
         heartbeat_interval_s=heartbeat_interval_s,
     )
-    stats: List[dict] = []
+    parts: List[Tuple[RunStats, Dict[int, Tuple[str, int]]]] = []
     t0 = perf_counter()  # repro: allow-wallclock
     try:
         supervisor.start()
@@ -792,119 +709,24 @@ def run_multiprocess(
                         pids=supervisor.pids(),
                     )
         result.wall_time_s = perf_counter() - t0  # repro: allow-wallclock
-        stats = supervisor.finish(until)
+        parts = supervisor.finish(until)
     except BudgetExceeded as exc:
         result.wall_time_s = perf_counter() - t0  # repro: allow-wallclock
         result.budget_error = exc
         try:
             # Best-effort partial stats: no clock fast-forward.
-            stats = supervisor.finish(None)
+            parts = supervisor.finish(None)
         except ResilienceError:
-            stats = []
+            parts = []
     finally:
         result.heartbeats_missed = supervisor.heartbeats_missed
         result.workers_restarted = supervisor.workers_restarted
         result.retries = supervisor.retries
         supervisor.shutdown()
-    result.metric_overlay["parallel.spawn_s"] = result.spawn_s
-    for index, worker_stats in enumerate(stats):
-        for name, seconds in worker_stats["timing"].items():
-            result.metric_overlay[
-                f"parallel.worker_{name}{{worker={index}}}"
-            ] = seconds
-
-    _merge_stats(
-        scenario,
-        stats,
-        until if result.outcome == "completed" else None,
-        result,
-    )
-    return result
-
-
-def _merge_stats(scenario, stats: List[dict], until, result) -> None:
-    """Patch the parent's never-run emulation with worker state so the
-    standard report path reads true numbers."""
-    sim = scenario.sim
-    emulation = scenario.emulation
-    monitor = emulation.monitor
-    edge_cpu_busy = 0.0
-    edge_switches = 0
-    tcp_totals: Dict[str, int] = {}
-    routing_totals: Dict[str, int] = {}
-    samples: List[Tuple[int, List[float]]] = []
-    for worker_stats in stats:
-        for d, (dispatched, now) in worker_stats["domains"].items():
-            sim.domains[d].restore_progress(dispatched, now)
-            result.events_by_domain[d] = dispatched
-        for index, fields in worker_stats["cores"].items():
-            core = emulation.cores[index]
-            core.scheduler.wakeups = fields["wakeups"]
-            core.scheduler.hops_serviced = fields["hops_serviced"]
-            core.cpu_busy_s = fields["cpu_busy_s"]
-            core.packets_processed = fields["packets_processed"]
-            core.hops_processed = fields["hops_processed"]
-            core.tick_overruns = fields["tick_overruns"]
-            core.tunnels_sent = fields["tunnels_sent"]
-            core.tunnels_received = fields["tunnels_received"]
-            if core.ingress_link is not None:
-                core.ingress_link.bytes_sent = fields["nic_in_bytes"]
-            if core.egress_link is not None:
-                core.egress_link.bytes_sent = fields["nic_out_bytes"]
-        for pipe_id, values in worker_stats["pipes"].items():
-            pipe = emulation._pipes_by_id[pipe_id]
-            (pipe.arrivals, pipe.departures, pipe.drops_overflow,
-             pipe.drops_random, pipe.drops_down, pipe.bytes_accepted,
-             pipe.bytes_through, pipe.peak_backlog) = values
-        for host_index, (up, down) in worker_stats["hosts"].items():
-            host = emulation.hosts[host_index]
-            host.uplink.bytes_sent = up
-            host.downlink.bytes_sent = down
-        busy, switches = worker_stats["edge_cpu"]
-        edge_cpu_busy += busy
-        edge_switches += switches
-        for key, value in worker_stats["tcp"].items():
-            tcp_totals[key] = tcp_totals.get(key, 0) + value
-        for key, value in worker_stats["routing"].items():
-            routing_totals[key] = routing_totals.get(key, 0) + value
-        m = worker_stats["monitor"]
-        monitor.packets_entered += m["packets_entered"]
-        monitor.packets_delivered += m["packets_delivered"]
-        monitor.packets_unroutable += m["packets_unroutable"]
-        monitor.physical_drops_ring += m["physical_drops_ring"]
-        monitor.physical_drops_egress += m["physical_drops_egress"]
-        monitor.physical_drops_uplink += m["physical_drops_uplink"]
-        monitor.tunnels += m["tunnels"]
-        for d, (digest, count) in worker_stats["digests"].items():
+    for _, digests in parts:
+        for d, (digest, count) in digests.items():
             result.domain_digests[d] = digest
             result.domain_digest_events[d] = count
-        min_domain = min(worker_stats["domains"]) if worker_stats["domains"] else 0
-        fault_counters = worker_stats.get("faults")
-        if (
-            fault_counters is not None
-            and emulation.fault_applier is not None
-            and min_domain == 0
-        ):
-            emulation.fault_applier.absorb(fault_counters)
-        samples.append((min_domain, m["error_samples"]))
-    # Error samples merged in domain order so the stored list is
-    # worker-count independent (derived stats are order-invariant
-    # regardless, via the sort in monitor.report()).
-    for _, worker_samples in sorted(samples, key=lambda pair: pair[0]):
-        room = monitor.max_samples - len(monitor.error_samples)
-        if room <= 0:
-            break
-        monitor.error_samples.extend(worker_samples[:room])
-    sim.epochs = result.epochs
-    sim.router.messages_routed = result.messages_routed
-    if until is not None:
-        # The parent's kernels never ran; their heaps still hold the
-        # initial schedule, so this alignment cannot be strict.
-        sim.fast_forward(until, strict=False)
-    for key, value in tcp_totals.items():
-        result.metric_overlay[f"tcp.{key}"] = value
-    for key, value in routing_totals.items():
-        result.metric_overlay[f"routing.{key}"] = value
-    if any(host.cpu is not None for host in emulation.hosts):
-        result.metric_overlay["edge.cpu_busy_s"] = edge_cpu_busy
-        result.metric_overlay["edge.context_switches"] = edge_switches
+    result.stats = RunStats.merge([stats for stats, _ in parts])
+    result.stats.put("parallel.spawn_s", result.spawn_s)
+    return result

@@ -334,6 +334,11 @@ class DomainRouter:
         self._pending = []
         return pending
 
+    @property
+    def pending(self) -> int:
+        """Messages queued and not yet injected."""
+        return len(self._pending)
+
     def min_pending_time(self) -> float:
         if not self._pending:
             return INFINITY
@@ -648,9 +653,7 @@ class PartitionedSimulator:
 
     @property
     def pending(self) -> int:
-        return sum(domain.pending for domain in self.domains) + len(
-            self.router._pending
-        )
+        return sum(domain.pending for domain in self.domains) + self.router.pending
 
     @property
     def on_dispatch(self) -> Optional[Callable]:
@@ -696,15 +699,14 @@ class PartitionedSimulator:
         self,
         until: float,
         domain_ids: Optional[Iterable[int]] = None,
-        strict: bool = True,
     ) -> None:
         """Align idle domain clocks with ``until`` (barrier-side API).
 
         This is the sanctioned way for executors — the serial epoch
-        loop, the multiprocess workers at ``finish``, and the parent's
-        stat merge — to advance drained domains to the run target
-        without touching ``EventDomain`` internals (which the DOM002 /
-        EPO001 static rules forbid outside this module). ``domain_ids``
+        loop and the multiprocess workers at ``finish`` — to advance
+        drained domains to the run target without touching
+        ``EventDomain`` internals (which the DOM002 / EPO001 static
+        rules forbid outside this module). ``domain_ids``
         restricts the sweep to the domains a worker owns; the default
         covers all of them. Delegates to
         :meth:`EventDomain.fast_forward`, which refuses to skip over
@@ -716,7 +718,7 @@ class PartitionedSimulator:
             else [self.domains[d] for d in domain_ids]
         )
         for domain in domains:
-            domain.fast_forward(until, strict=strict)
+            domain.fast_forward(until)
 
     # -- the epoch loop ---------------------------------------------------
 

@@ -14,7 +14,9 @@ measurement substrate one home:
   is a no-op and the hot-path timing hooks stay uninstalled, so an
   unobserved run pays nothing;
 * :func:`collect_metrics` — the pull pass that reads every subsystem's
-  counters into canonical metric names at report time;
+  counters into canonical metric names at report time, through
+  :class:`~repro.obs.report.RunStats`, which also merges a
+  multiprocess run's per-worker parts;
 * :class:`RunReport` — a run manifest (config, seed, topology summary,
   wall/virtual time, all metrics) serializable to JSON and CSV, the
   unit of comparison between runs and the artifact benchmarks emit.

@@ -140,6 +140,20 @@ class Histogram:
         index = min(len(ordered) - 1, int(p / 100.0 * len(ordered)))
         return ordered[index]
 
+    def merge(self, other: "Histogram") -> None:
+        """Fold in ``other``'s observations (the same timer in another
+        process): exact count, sum, min and max; the reservoirs are
+        pooled and decimated to ``max_samples``."""
+        self.count += other.count
+        self.total += other.total
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+        samples = self._samples + other._samples
+        while len(samples) > self.max_samples:
+            samples = samples[::2]
+            self._stride *= 2
+        self._samples = samples
+
     def snapshot(self) -> Dict[str, float]:
         if not self.count:
             return {"count": 0, "sum": 0.0, "mean": 0.0, "min": 0.0,
@@ -268,6 +282,15 @@ class MetricsRegistry:
         """Time a ``with`` block into histogram ``name`` (seconds)."""
         return _Timer(self.histogram(name, **labels))
 
+    def install(self, metric) -> None:
+        """Put ``metric`` (say, a histogram merged from other
+        processes) at its identity, replacing what was there."""
+        self._metrics[(metric.name, metric.labels)] = metric
+
+    def update(self, other: "MetricsRegistry") -> None:
+        """Install every metric of ``other``."""
+        self._metrics.update(other._metrics)
+
     # -- introspection ----------------------------------------------------
 
     def get(self, name: str, **labels):
@@ -309,6 +332,12 @@ class NullRegistry(MetricsRegistry):
 
     def timed(self, name: str, **labels):
         return _NULL_TIMER
+
+    def install(self, metric) -> None:
+        pass
+
+    def update(self, other: MetricsRegistry) -> None:
+        pass
 
     def get(self, name: str, **labels) -> Optional[Any]:
         return None

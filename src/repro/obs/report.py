@@ -1,12 +1,17 @@
 """Run manifests: collect every subsystem's statistics, emit one report.
 
-:func:`collect_metrics` is the pull pass: it walks a live
-:class:`~repro.core.emulator.Emulation` and copies every ad-hoc
-statistic — scheduler wakeups/hops/heap depth, the three virtual-drop
-classes and queue occupancy per pipe, core CPU/NIC utilization, edge
-uplink drops, TCP retransmission counters, route-search work, accuracy
-error — into a
-:class:`~repro.obs.metrics.MetricsRegistry` under canonical names.
+:meth:`RunStats.gather` is the pull pass and the only code that reads
+run statistics out of live objects: it walks a live
+:class:`~repro.core.emulator.Emulation` — over all of its event
+domains, or over the ones a multiprocess worker owns — and copies
+every ad-hoc statistic (scheduler wakeups/hops/heap depth, the three
+virtual-drop classes and queue occupancy per pipe, core CPU/NIC
+utilization, edge uplink drops, TCP retransmission counters,
+route-search work, per-packet error samples) under canonical names.
+:meth:`RunStats.merge` combines the parts of a multiprocess run, and
+:meth:`RunStats.publish` sets them on a
+:class:`~repro.obs.metrics.MetricsRegistry`. :func:`collect_metrics`
+is gather-then-publish for an emulation that ran in this process.
 
 :class:`RunReport` is the manifest those metrics ship in: the run's
 config, seed, topology summary, wall and virtual time, and the full
@@ -22,9 +27,10 @@ import io
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from repro.obs.metrics import MetricsRegistry
+from repro.core.monitor import error_summary
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 
 # ----------------------------------------------------------------------
@@ -43,159 +49,299 @@ def _mean_link_utilization(link, elapsed: float) -> float:
     return min(1.0, link.bytes_sent * 8.0 / (link.rate_bps * elapsed))
 
 
+#: Metrics every process of a run builds identically — the domain
+#: count, the epoch count, the lookahead plan, and the fault timeline
+#: with the link state it leaves. A merged run takes them from the
+#: process owning domain 0.
+_SHARED = frozenset({
+    "engine.num_domains",
+    "engine.epochs",
+    "engine.lookahead_s",
+    "engine.lookahead_widest_s",
+    "engine.lookahead_pair_s",
+    "faults.injected",
+    "faults.recovered",
+    "faults.perturbations",
+    "faults.applied",
+    "faults.planned",
+    "topology.link_up",
+})
+#: Peaks: a merged run takes the maximum.
+_PEAKS = frozenset({"pipe.peak_backlog"})
+
+
+@dataclass
+class RunStats:
+    """A run's statistics as read out of one process's live emulation.
+
+    :meth:`gather` is the one code path that reads run statistics out
+    of live objects. A serial run gathers over every domain and
+    publishes; each multiprocess worker gathers over the domains it
+    owns, and the parent publishes the :meth:`merge` of their parts.
+    """
+
+    #: Gauges, and the histograms of the hot-path timers.
+    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
+    #: The barrier clock: no gathered domain is behind it.
+    virtual_time_s: float = 0.0
+    #: Per-packet emulation error (actual minus ideal exit time), the
+    #: input of every ``accuracy.*_error_s`` summary.
+    error_samples: List[float] = field(default_factory=list)
+    max_samples: int = 0
+    fault_events: List[Dict[str, Any]] = field(default_factory=list)
+
+    def put(self, name: str, value: float, **labels) -> None:
+        self.metrics.gauge(name, **labels).set(value)
+
+    @classmethod
+    def gather(cls, emulation, domains: Optional[Iterable[int]] = None) -> "RunStats":
+        """Read every statistic the run accumulated on ``domains``
+        (default: all of them) out of ``emulation``.
+
+        Per-domain objects — kernels, cores, the pipes they own, edge
+        hosts and their stacks — count only when their domain is
+        gathered, so parts gathered over disjoint domain sets add up
+        to the whole run. Process-wide state is read whole: a worker's
+        monitor saw only the worker's domains run, its route cache did
+        the worker's searches, and its fault applier applied the whole
+        timeline.
+        """
+        stats = cls()
+        put = stats.put
+        sim = emulation.sim
+        owned = set(range(emulation.num_domains) if domains is None else domains)
+        kernels = [d for d in emulation.domains if d.domain_id in owned]
+        router = emulation.router
+        elapsed = stats.virtual_time_s = min(d.now for d in kernels)
+        put("sim.events_dispatched", sum(d.events_dispatched for d in kernels))
+        put(
+            "sim.events_pending",
+            sum(d.pending for d in kernels)
+            + (router.pending if router is not None else 0),
+        )
+
+        # -- partitioned engine (backend, domains, epoch barrier) -------
+        partitioned = emulation.num_domains > 1
+        put("engine.num_domains", emulation.num_domains)
+        if partitioned:
+            put("engine.epochs", sim.epochs)
+            # ``lookahead`` is the effective (minimum finite) bound of
+            # the per-pair matrix — the scalar consumers key dashboards
+            # on — and the matrix itself is broken out per domain pair
+            # so a slow pair (one near the channel floor) is
+            # attributable.
+            put("engine.lookahead_s", sim.lookahead)
+            matrix = sim.matrix
+            put("engine.lookahead_widest_s", matrix.widest)
+            for src, dst, bound in matrix.items():
+                put("engine.lookahead_pair_s", bound, src=src, dst=dst)
+            put("engine.messages_routed", router.messages_routed)
+            for kernel in kernels:
+                put(
+                    "sim.events_dispatched",
+                    kernel.events_dispatched,
+                    domain=kernel.domain_id,
+                )
+
+        # -- scheduler + cores (Fig. 4 / Table 1 substrate) -------------
+        cores = [core for core in emulation.cores if core.domain_id in owned]
+        for core in cores:
+            label = {"core": core.index}
+            if partitioned:
+                label["domain"] = core.domain_id
+            sched = core.scheduler
+            put("sched.wakeups", sched.wakeups, **label)
+            put("sched.hops_serviced", sched.hops_serviced, **label)
+            put("sched.heap_depth", sched.pending_pipes, **label)
+            put("core.cpu_busy_s", core.cpu_busy_s, **label)
+            put("core.utilization", core.utilization(elapsed), **label)
+            put("core.packets_processed", core.packets_processed, **label)
+            put("core.hops_processed", core.hops_processed, **label)
+            put("core.tick_overruns", core.tick_overruns, **label)
+            put("core.tunnels_sent", core.tunnels_sent, **label)
+            put("core.tunnels_received", core.tunnels_received, **label)
+            put("core.ring_occupancy", len(core._ring), **label)
+            if core.ingress_link is not None:
+                put("core.nic_in_bytes", core.ingress_link.bytes_sent, **label)
+                put(
+                    "core.nic_in_utilization",
+                    _mean_link_utilization(core.ingress_link, elapsed),
+                    **label,
+                )
+            if core.egress_link is not None:
+                put("core.nic_out_bytes", core.egress_link.bytes_sent, **label)
+                put(
+                    "core.nic_out_utilization",
+                    _mean_link_utilization(core.egress_link, elapsed),
+                    **label,
+                )
+            # Hot-path timers, armed only on an observed emulation.
+            for hist in (sched.collect_timer, sched.batch_hist):
+                if hist is not None:
+                    stats.metrics.install(hist)
+        for name in ("pipe.enqueue_s", "route.lookup_s"):
+            hist = emulation.obs.get(name)
+            if hist is not None:
+                stats.metrics.install(hist)
+
+        # -- pipes: drop taxonomy and occupancy (Figs. 8-10 inputs) -----
+        arrivals = departures = batch_departures = overflow = random_ = down = 0
+        bytes_accepted = bytes_through = in_flight = backlog = peak = 0
+        pipes = [
+            pipe for pipe in emulation.pipes.values()
+            if emulation.cores[pipe.owner].domain_id in owned
+        ]
+        for pipe in pipes:
+            arrivals += pipe.arrivals
+            departures += pipe.departures
+            batch_departures += pipe.batch_departures
+            overflow += pipe.drops_overflow
+            random_ += pipe.drops_random
+            down += pipe.drops_down
+            bytes_accepted += pipe.bytes_accepted
+            bytes_through += pipe.bytes_through
+            in_flight += pipe.in_flight
+            backlog += pipe.backlog_pkts
+            if pipe.peak_backlog > peak:
+                peak = pipe.peak_backlog
+        put("pipe.count", len(pipes))
+        put("pipe.arrivals", arrivals)
+        put("pipe.departures", departures)
+        put("pipe.batch_departures", batch_departures)
+        put("pipe.drops_overflow", overflow)
+        put("pipe.drops_random", random_)
+        put("pipe.drops_down", down)
+        put("pipe.bytes_accepted", bytes_accepted)
+        put("pipe.bytes_through", bytes_through)
+        put("pipe.in_flight", in_flight)
+        put("pipe.backlog_pkts", backlog)
+        put("pipe.peak_backlog", peak)
+
+        # -- monitor: accuracy + physical drops -------------------------
+        monitor = emulation.monitor
+        put("accuracy.packets_entered", monitor.packets_entered)
+        put("accuracy.packets_delivered", monitor.packets_delivered)
+        put("accuracy.packets_unroutable", monitor.packets_unroutable)
+        put("accuracy.tunnels", monitor.tunnels)
+        put("accuracy.virtual_drops", overflow + random_ + down)
+        put("accuracy.physical_drops", monitor.physical_drops)
+        put("accuracy.physical_drops_ring", monitor.physical_drops_ring)
+        put("accuracy.physical_drops_egress", monitor.physical_drops_egress)
+        put("accuracy.physical_drops_uplink", monitor.physical_drops_uplink)
+        # Shared, not copied: a long run holds up to max_samples floats.
+        stats.error_samples = monitor.error_samples
+        stats.max_samples = monitor.max_samples
+
+        # -- edge hosts --------------------------------------------------
+        hosts = [host for host in emulation.hosts if host.core.domain_id in owned]
+        uplink_bytes = downlink_bytes = 0
+        cpu_busy = 0.0
+        context_switches = 0
+        tcp_totals: Dict[str, int] = {}
+        for host in hosts:
+            uplink_bytes += host.uplink.bytes_sent
+            downlink_bytes += host.downlink.bytes_sent
+            if host.cpu is not None:
+                cpu = host.cpu.stats()
+                cpu_busy += cpu["busy_s"]
+                context_switches += cpu["context_switches"]
+            for vn in host.vns:
+                for key, value in vn.stack.tcp_stats().items():
+                    tcp_totals[key] = tcp_totals.get(key, 0) + value
+        put("edge.hosts", len(hosts))
+        put("edge.uplink_bytes", uplink_bytes)
+        put("edge.downlink_bytes", downlink_bytes)
+        put("edge.uplink_drops", monitor.physical_drops_uplink)
+        if emulation.config.model_edge_cpu:
+            put("edge.cpu_busy_s", cpu_busy)
+            put("edge.context_switches", context_switches)
+
+        # -- TCP (edge stacks) ------------------------------------------
+        for key, value in tcp_totals.items():
+            put(f"tcp.{key}", value)
+
+        # -- routing: demand-cache search work --------------------------
+        for key, value in emulation.routing.stats().items():
+            put(f"routing.{key}", value)
+
+        # -- fault timeline (declarative plans only) --------------------
+        applier = emulation.fault_applier
+        if applier is not None:
+            put("faults.injected", applier.injected)
+            put("faults.recovered", applier.recovered)
+            put("faults.perturbations", applier.perturbations_applied)
+            put("faults.applied", applier.applied)
+            put("faults.planned", len(applier.plan.events))
+            for link_id in applier.touched_links():
+                link = emulation.topology.links.get(link_id)
+                if link is not None:
+                    put("topology.link_up", 1 if link.up else 0, link=link_id)
+            stats.fault_events = list(applier.events_log)
+        return stats
+
+    @classmethod
+    def merge(cls, parts: Sequence["RunStats"]) -> "RunStats":
+        """One run's statistics from the parts its processes gathered
+        over disjoint domain sets, ``parts[0]`` gathered by the owner of
+        domain 0.
+
+        Counters add up; the labelled series (``{core=}``,
+        ``{domain=}``, ``{worker=}``), each gathered by one part only,
+        add up to their union. Peaks take
+        the maximum and the barrier clock the minimum, as
+        :attr:`PartitionedSimulator.now` does over domains. Values
+        every process builds identically come from ``parts[0]``. Error
+        samples are concatenated in part order up to ``max_samples``,
+        so the error summaries are computed once, from the merged
+        samples. The merge takes over the parts' metric objects.
+        """
+        merged = cls()
+        if not parts:
+            return merged
+        first = parts[0]
+        merged.virtual_time_s = min(part.virtual_time_s for part in parts)
+        merged.max_samples = first.max_samples
+        merged.fault_events = list(first.fault_events)
+        for part in parts:
+            for metric in part.metrics:
+                name = metric.name
+                held = merged.metrics.get(name, **dict(metric.labels))
+                if held is None:
+                    merged.metrics.install(metric)
+                elif name in _SHARED:
+                    pass
+                elif isinstance(metric, Histogram):
+                    held.merge(metric)
+                elif name in _PEAKS:
+                    held.value = max(held.value, metric.value)
+                else:
+                    held.value += metric.value
+            room = merged.max_samples - len(merged.error_samples)
+            merged.error_samples.extend(part.error_samples[:room])
+        return merged
+
+    def publish(self, registry: MetricsRegistry) -> MetricsRegistry:
+        """Set every statistic on ``registry``: gauges overwritten,
+        hot-path histograms installed, and the error summaries derived
+        from the samples."""
+        registry.gauge("sim.virtual_time_s").set(self.virtual_time_s)
+        registry.update(self.metrics)
+        samples = self.error_samples
+        mean, p99, worst = error_summary(samples)
+        registry.gauge("accuracy.error_samples").set(len(samples))
+        registry.gauge("accuracy.mean_error_s").set(mean)
+        registry.gauge("accuracy.p99_error_s").set(p99)
+        registry.gauge("accuracy.max_error_s").set(worst)
+        return registry
+
+
 def collect_metrics(emulation, registry: MetricsRegistry) -> MetricsRegistry:
     """Read every statistic a run accumulates into ``registry``.
 
-    Safe to call repeatedly (gauges are overwritten; counters are set
-    to the current cumulative totals).
+    Safe to call repeatedly (gauges are overwritten with the current
+    cumulative totals).
     """
-    sim = emulation.sim
-    registry.gauge("sim.virtual_time_s").set(sim.now)
-    registry.gauge("sim.events_dispatched").set(sim.events_dispatched)
-    registry.gauge("sim.events_pending").set(sim.pending)
-
-    # -- partitioned engine (backend, domains, epoch barrier) -----------
-    partitioned = emulation.num_domains > 1
-    registry.gauge("engine.num_domains").set(emulation.num_domains)
-    if partitioned:
-        registry.gauge("engine.epochs").set(getattr(sim, "epochs", 0))
-        # ``lookahead`` is the effective (minimum finite) bound of the
-        # per-pair matrix — the scalar consumers key dashboards on —
-        # and the matrix itself is broken out per domain pair so a
-        # slow pair (one near the channel floor) is attributable.
-        registry.gauge("engine.lookahead_s").set(getattr(sim, "lookahead", 0.0))
-        matrix = getattr(sim, "matrix", None)
-        if matrix is not None:
-            registry.gauge("engine.lookahead_widest_s").set(matrix.widest)
-            for src, dst, bound in matrix.items():
-                registry.gauge(
-                    "engine.lookahead_pair_s", src=src, dst=dst
-                ).set(bound)
-        if emulation.router is not None:
-            registry.gauge("engine.messages_routed").set(
-                emulation.router.messages_routed
-            )
-        for domain in emulation.domains:
-            registry.gauge(
-                "sim.events_dispatched", domain=domain.domain_id
-            ).set(domain.events_dispatched)
-
-    # -- scheduler + cores (Fig. 4 / Table 1 substrate) -----------------
-    elapsed = sim.now
-    for core in emulation.cores:
-        label = {"core": core.index}
-        if partitioned:
-            label["domain"] = core.domain_id
-        sched = core.scheduler
-        registry.gauge("sched.wakeups", **label).set(sched.wakeups)
-        registry.gauge("sched.hops_serviced", **label).set(sched.hops_serviced)
-        registry.gauge("sched.heap_depth", **label).set(sched.pending_pipes)
-        registry.gauge("core.cpu_busy_s", **label).set(core.cpu_busy_s)
-        registry.gauge("core.utilization", **label).set(core.utilization(elapsed))
-        registry.gauge("core.packets_processed", **label).set(core.packets_processed)
-        registry.gauge("core.hops_processed", **label).set(core.hops_processed)
-        registry.gauge("core.tick_overruns", **label).set(core.tick_overruns)
-        registry.gauge("core.tunnels_sent", **label).set(core.tunnels_sent)
-        registry.gauge("core.tunnels_received", **label).set(core.tunnels_received)
-        registry.gauge("core.ring_occupancy", **label).set(len(core._ring))
-        if core.ingress_link is not None:
-            registry.gauge("core.nic_in_bytes", **label).set(
-                core.ingress_link.bytes_sent
-            )
-            registry.gauge("core.nic_in_utilization", **label).set(
-                _mean_link_utilization(core.ingress_link, elapsed)
-            )
-        if core.egress_link is not None:
-            registry.gauge("core.nic_out_bytes", **label).set(
-                core.egress_link.bytes_sent
-            )
-            registry.gauge("core.nic_out_utilization", **label).set(
-                _mean_link_utilization(core.egress_link, elapsed)
-            )
-
-    # -- pipes: drop taxonomy and occupancy (Figs. 8-10 inputs) ---------
-    arrivals = departures = batch_departures = overflow = random_ = down = 0
-    bytes_accepted = bytes_through = in_flight = backlog = peak = 0
-    for pipe in emulation.pipes.values():
-        arrivals += pipe.arrivals
-        departures += pipe.departures
-        batch_departures += pipe.batch_departures
-        overflow += pipe.drops_overflow
-        random_ += pipe.drops_random
-        down += pipe.drops_down
-        bytes_accepted += pipe.bytes_accepted
-        bytes_through += pipe.bytes_through
-        in_flight += pipe.in_flight
-        backlog += pipe.backlog_pkts
-        if pipe.peak_backlog > peak:
-            peak = pipe.peak_backlog
-    registry.gauge("pipe.count").set(len(emulation.pipes))
-    registry.gauge("pipe.arrivals").set(arrivals)
-    registry.gauge("pipe.departures").set(departures)
-    registry.gauge("pipe.batch_departures").set(batch_departures)
-    registry.gauge("pipe.drops_overflow").set(overflow)
-    registry.gauge("pipe.drops_random").set(random_)
-    registry.gauge("pipe.drops_down").set(down)
-    registry.gauge("pipe.bytes_accepted").set(bytes_accepted)
-    registry.gauge("pipe.bytes_through").set(bytes_through)
-    registry.gauge("pipe.in_flight").set(in_flight)
-    registry.gauge("pipe.backlog_pkts").set(backlog)
-    registry.gauge("pipe.peak_backlog").set(peak)
-
-    # -- monitor: accuracy + physical drops -----------------------------
-    emulation.monitor.export(registry, virtual_drops=emulation.virtual_drops())
-
-    # -- edge hosts ------------------------------------------------------
-    uplink_bytes = downlink_bytes = 0
-    cpu_busy = 0.0
-    context_switches = 0
-    for host in emulation.hosts:
-        uplink_bytes += host.uplink.bytes_sent
-        downlink_bytes += host.downlink.bytes_sent
-        if host.cpu is not None:
-            stats = host.cpu.stats()
-            cpu_busy += stats["busy_s"]
-            context_switches += stats["context_switches"]
-    registry.gauge("edge.hosts").set(len(emulation.hosts))
-    registry.gauge("edge.uplink_bytes").set(uplink_bytes)
-    registry.gauge("edge.downlink_bytes").set(downlink_bytes)
-    registry.gauge("edge.uplink_drops").set(
-        emulation.monitor.physical_drops_uplink
-    )
-    if any(host.cpu is not None for host in emulation.hosts):
-        registry.gauge("edge.cpu_busy_s").set(cpu_busy)
-        registry.gauge("edge.context_switches").set(context_switches)
-
-    # -- TCP (edge stacks) ----------------------------------------------
-    tcp_totals: Dict[str, int] = {}
-    for vn in emulation.vns:
-        for key, value in vn.stack.tcp_stats().items():
-            tcp_totals[key] = tcp_totals.get(key, 0) + value
-    for key, value in tcp_totals.items():
-        registry.gauge(f"tcp.{key}").set(value)
-
-    # -- routing: demand-cache search work ------------------------------
-    for key, value in emulation.routing.stats().items():
-        registry.gauge(f"routing.{key}").set(value)
-
-    # -- fault timeline (declarative plans only) ------------------------
-    applier = getattr(emulation, "fault_applier", None)
-    if applier is not None:
-        registry.gauge("faults.injected").set(applier.injected)
-        registry.gauge("faults.recovered").set(applier.recovered)
-        registry.gauge("faults.perturbations").set(
-            applier.perturbations_applied
-        )
-        registry.gauge("faults.applied").set(applier.applied)
-        registry.gauge("faults.planned").set(len(applier.plan.events))
-        for link_id in applier.touched_links():
-            link = emulation.topology.links.get(link_id)
-            if link is not None:
-                registry.gauge(
-                    "topology.link_up", link=link_id
-                ).set(1 if link.up else 0)
-
-    return registry
+    return RunStats.gather(emulation).publish(registry)
 
 
 # ----------------------------------------------------------------------
@@ -361,17 +507,25 @@ def build_report(
     name: str = "",
     wall_time_s: float = 0.0,
     created_at: Optional[float] = None,
+    stats: Optional[RunStats] = None,
 ) -> RunReport:
-    """Collect ``emulation``'s statistics and wrap them in a
+    """Publish a run's statistics and wrap them in a
     :class:`RunReport`.
 
-    ``registry`` defaults to the emulation's own registry when it is a
-    live one, else a fresh :class:`MetricsRegistry` — so reports are
-    complete even for runs that disabled hot-path observability.
+    ``stats`` are the run's statistics when another process ran it (a
+    multiprocess parent passes the :meth:`RunStats.merge` of its
+    workers' parts); by default they are gathered from ``emulation``.
+    Either way ``emulation`` supplies only the run's configuration and
+    structure. ``registry`` defaults to the emulation's own registry
+    when it is a live one, else a fresh :class:`MetricsRegistry` — so
+    reports are complete even for runs that disabled hot-path
+    observability.
     """
     if registry is None:
         registry = emulation.obs if emulation.obs.enabled else MetricsRegistry()
-    collect_metrics(emulation, registry)
+    if stats is None:
+        stats = RunStats.gather(emulation)
+    stats.publish(registry)
     topology = emulation.topology
     return RunReport(
         name=name,
@@ -387,13 +541,9 @@ def build_report(
             "cores": len(emulation.cores),
             "hosts": len(emulation.hosts),
         },
-        virtual_time_s=emulation.sim.now,
+        virtual_time_s=stats.virtual_time_s,
         wall_time_s=wall_time_s,
         metrics=registry.snapshot(),
-        fault_events=(
-            list(emulation.fault_applier.events_log)
-            if getattr(emulation, "fault_applier", None) is not None
-            else []
-        ),
+        fault_events=list(stats.fault_events),
         created_at=created_at,
     )

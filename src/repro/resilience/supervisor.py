@@ -261,7 +261,8 @@ class WorkerSupervisor:
     def finish(self, until) -> List[dict]:
         """Send the final command — ``("finish", until)`` after the
         run, or ``("finish", None)`` to halt an observed run at the
-        barrier it waits at; returns per-worker stats dicts."""
+        barrier it waits at; returns each worker's ``(stats,
+        digests)`` result in worker order."""
         return [reply[1] for reply in self._command(("finish", until))]
 
     def shutdown(self) -> None:

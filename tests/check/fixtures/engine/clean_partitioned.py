@@ -2,7 +2,7 @@
 
 The shapes the analyzer sanctions: delivery times derived from the
 channel, peer calls behind a domain guard, progress writes through
-the barrier facades, and module-level Process targets.
+the barrier facade, and module-level Process targets.
 """
 
 import multiprocessing
@@ -23,10 +23,8 @@ def deliver_guarded(emulation, router, index, packet):
         router.send(packet.time, 0, domain_of_core[index], "deliver", index, packet)
 
 
-def merge_progress(sim, worker_stats, until):
-    for d, (dispatched, now) in worker_stats.items():
-        sim.domains[d].restore_progress(dispatched, now)
-    sim.fast_forward(until, strict=False)
+def align_progress(sim, until, owned):
+    sim.fast_forward(until, owned)
 
 
 def next_times(sim, owned):

@@ -120,17 +120,17 @@ def test_dom002_subscript_and_augassign():
     assert [v.rule for v in collect(source)] == ["DOM002"] * 2
 
 
-def test_dom002_restore_progress_is_the_sanctioned_path():
+def test_dom002_method_call_on_a_domain_is_not_a_write():
     source = (
-        "def f(sim, d, dispatched, now):\n"
-        "    sim.domains[d].restore_progress(dispatched, now)\n"
+        "def f(sim, d, until):\n"
+        "    sim.domains[d].fast_forward(until)\n"
     )
     assert collect(source) == []
 
 
 def test_dom002_core_stat_patching_is_not_domain_state():
-    # Stat patching on cores/hosts is the merge path's job; DOM002 is
-    # scoped to domain kernels, whose clock/heap feed the digests.
+    # DOM002 is scoped to domain kernels, whose clock/heap feed the
+    # digests; attribute writes on cores/hosts are not its business.
     source = (
         "def f(emulation, fields):\n"
         "    core = emulation.cores[0]\n"

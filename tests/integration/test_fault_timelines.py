@@ -20,6 +20,7 @@ from repro.faults import (
     Perturbation,
     SetLinkParams,
 )
+from repro.obs import MetricsRegistry
 from repro.resilience import RunAborted, load_checkpoint
 from repro.topology import dumbbell_topology, ring_topology
 
@@ -113,8 +114,12 @@ def test_serial_and_multiprocess_agree_at_every_worker_count():
         )
         assert result.composed_digest == serial_digest
         assert result.events_dispatched == serial_events
-        counters = scenario.emulation.fault_applier.counters()
-        assert counters["applied"] > 0
+        flat = result.stats.publish(MetricsRegistry()).snapshot()
+        assert flat["faults.applied"] > 0
+        counters = (
+            {key: value for key, value in flat.items() if key.startswith("faults.")},
+            result.stats.fault_events,
+        )
         if serial_counters is None:
             serial_counters = counters
         assert counters == serial_counters
@@ -136,8 +141,9 @@ def test_flapping_storm_is_digest_invariant_across_backends():
     scenario.build()
     result = run_multiprocess(scenario, until=UNTIL, workers=2)
     assert result.composed_digest == serial_digest
-    assert scenario.emulation.fault_applier.injected == 10
-    assert scenario.emulation.fault_applier.recovered == 10
+    flat = result.stats.publish(MetricsRegistry()).snapshot()
+    assert flat["faults.injected"] == 10
+    assert flat["faults.recovered"] == 10
 
 
 def test_in_flight_packets_on_failed_pipe_drop_deterministically():

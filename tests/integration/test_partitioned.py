@@ -2,14 +2,18 @@
 determinism, multiprocess digest invariance, spec round-trips, and the
 report fields that attribute per-domain load."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.api import Scenario
 from repro.check.sanitize import SimSanitizer, compose_domain_digests
 from repro.engine import PartitionedSimulator
+from repro.faults import FaultPlan
 from repro.topology import ring_topology
 
 UNTIL = 0.05
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 
 def _ring_scenario(backend="serial", domains=4, workers=None, seed=7):
@@ -24,6 +28,48 @@ def _ring_scenario(backend="serial", domains=4, workers=None, seed=7):
         .observe(False)
         .backend(backend, domains=domains, workers=workers)
     )
+
+
+def _ring8x2(fault_plan=None, backend="serial", workers=None):
+    """The committed ring8x2 example as the CLI runs it (4 cores and
+    domains, 8 flows, seed 1), observed."""
+    scenario = (
+        Scenario.from_gml(str(EXAMPLES / "ring8x2.gml"))
+        .distill("hop-by-hop")
+        .assign(4)
+        .seed(1)
+        .netperf(flows=8)
+        .backend(backend, domains=4, workers=workers)
+    )
+    if fault_plan is not None:
+        scenario.faults(FaultPlan.from_json_file(str(EXAMPLES / fault_plan)))
+    return scenario
+
+
+#: Report metrics a multiprocess run need not reproduce.
+_NOT_COMPARED = (
+    # Wall-clock cost of the multiprocess backend itself.
+    "parallel.",
+    # Wall-clock build and run phases.
+    "phase.",
+    # Workload handles' derived values (goodput, flow counts): only a
+    # run whose traffic ran in this process reports them.
+    "traffic.",
+    # Route-search work per process: every worker repeats the reroutes
+    # the serial run does once.
+    "routing.",
+)
+#: Hot-path timers: their values are wall clock; only the number of
+#: observations is deterministic.
+_WALL_CLOCK_TIMERS = ("pipe.enqueue_s", "route.lookup_s", "sched.collect_s")
+
+
+def _comparable(metrics):
+    return {
+        key: value
+        for key, value in metrics.items()
+        if not key.startswith(_NOT_COMPARED)
+    }
 
 
 def _digest(scenario, until=UNTIL):
@@ -156,18 +202,31 @@ class TestMultiprocess:
         assert result.composed_digest == serial_digest
         assert result.events_dispatched == serial_events
 
-    def test_scenario_run_merges_worker_stats(self):
-        report = (
-            _ring_scenario("multiprocess", workers=2)
-            .observe(True)
-            .run(until=UNTIL)
-        )
-        metrics = report.metrics
-        assert report.config["backend"] == "multiprocess"
-        assert metrics["engine.num_domains"] == 4
-        assert metrics["engine.epochs"] > 0
-        assert metrics["sim.events_dispatched"] > 0
-        assert metrics["tcp.connections"] > 0
+    @pytest.mark.parametrize(
+        "fault_plan", [None, "faultplan.json"], ids=["no_faults", "faultplan"]
+    )
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_scenario_run_merges_worker_stats(self, workers, fault_plan):
+        """A multiprocess report is the serial-partitioned report: the
+        same metric keys with the same values, save the named
+        exceptions."""
+        serial = _ring8x2(fault_plan).run(until=0.2)
+        multi = _ring8x2(fault_plan, "multiprocess", workers).run(until=0.2)
+        assert multi.config["backend"] == "multiprocess"
+        assert multi.virtual_time_s == serial.virtual_time_s == 0.2
+        assert multi.fault_events == serial.fault_events
+        assert bool(multi.fault_events) == (fault_plan is not None)
+        assert multi.topology == serial.topology
+        expected = _comparable(serial.metrics)
+        merged = _comparable(multi.metrics)
+        assert merged.keys() == expected.keys()
+        for key, value in expected.items():
+            if key.split("{", 1)[0] in _WALL_CLOCK_TIMERS:
+                assert merged[key]["count"] == value["count"], key
+            else:
+                assert merged[key] == value, key
+        assert merged["tcp.connections"] > 0
+        assert merged["engine.messages_routed"] > 0
 
     def test_default_worker_count_is_capped_by_cpu_count(self):
         """workers=0 must not oversubscribe the machine: more workers

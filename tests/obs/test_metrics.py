@@ -71,6 +71,20 @@ def test_histogram_reservoir_decimation_keeps_exact_aggregates():
     assert 3500 < h.percentile(50) < 6500
 
 
+def test_histogram_merge_keeps_exact_aggregates_and_a_bounded_reservoir():
+    a, b = Histogram("x", max_samples=64), Histogram("x", max_samples=64)
+    for i in range(100):
+        a.observe(float(i))
+    for i in range(100, 250):
+        b.observe(float(i))
+    a.merge(b)
+    assert a.count == 250
+    assert a.total == pytest.approx(sum(range(250)))
+    assert a.min == 0.0 and a.max == 249.0
+    assert len(a._samples) <= 64
+    assert 80 < a.percentile(50) < 170
+
+
 def test_empty_histogram_snapshot():
     h = MetricsRegistry().histogram("empty")
     assert h.snapshot()["count"] == 0

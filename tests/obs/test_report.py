@@ -7,6 +7,7 @@ from repro.core import DistillationMode, EmulationConfig, ExperimentPipeline
 from repro.core.tracelog import TraceLog
 from repro.engine import Simulator
 from repro.obs import MetricsRegistry, RunReport, build_report, collect_metrics
+from repro.obs.report import RunStats
 from repro.topology import dumbbell_topology
 
 
@@ -82,6 +83,39 @@ def test_null_registry_leaves_hot_paths_unarmed():
     report = emulation.run_report(name="unobserved")
     assert report.metric("pipe.arrivals") > 0
     assert report.metric("accuracy.packets_delivered") > 0
+
+
+def test_run_stats_merge_rules():
+    """Counters sum, labelled series union, peaks take the maximum,
+    the clock the minimum, shared values come from the first part, and
+    error samples concatenate up to ``max_samples``."""
+    parts = []
+    for index, (clock, peak, samples) in enumerate(
+        [(2.0, 7, [0.1, 0.2]), (1.5, 9, [0.3, 0.4])]
+    ):
+        part = RunStats(
+            virtual_time_s=clock,
+            error_samples=samples,
+            max_samples=3,
+            fault_events=[{"part": index}],
+        )
+        part.put("pipe.arrivals", 10 + index)
+        part.put("pipe.peak_backlog", peak)
+        part.put("sched.wakeups", 5 + index, core=index)
+        part.put("engine.epochs", 40 + index)
+        parts.append(part)
+    merged = RunStats.merge(parts)
+    assert merged.virtual_time_s == 1.5
+    assert merged.error_samples == [0.1, 0.2, 0.3]
+    assert merged.fault_events == [{"part": 0}]
+    flat = merged.publish(MetricsRegistry()).snapshot()
+    assert flat["pipe.arrivals"] == 21
+    assert flat["pipe.peak_backlog"] == 9
+    assert flat["sched.wakeups{core=0}"] == 5
+    assert flat["sched.wakeups{core=1}"] == 6
+    assert flat["engine.epochs"] == 40
+    assert flat["accuracy.error_samples"] == 3
+    assert flat["accuracy.max_error_s"] == 0.3
 
 
 def test_run_report_json_round_trip(tmp_path):
