@@ -66,8 +66,23 @@ class ResultSink:
         )
 
 
+#: Whether a test's call phase passed (set by the report hook below).
+_CALL_PASSED = pytest.StashKey[bool]()
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    report = (yield).get_result()
+    if report.when == "call":
+        item.stash[_CALL_PASSED] = report.passed
+
+
 @pytest.fixture
 def sink(request):
+    """The test's :class:`ResultSink`. It is written only when the test
+    passed: a failed shape assertion leaves the committed table as it
+    was, rather than replacing it with the rows that failed."""
     result = ResultSink(request.node.name)
     yield result
-    result.flush()
+    if request.node.stash.get(_CALL_PASSED, False):
+        result.flush()

@@ -513,8 +513,10 @@ class Scenario:
         :class:`~repro.resilience.checkpoint.Checkpoint`) for
         ``--resume``: the run replays deterministically from t=0,
         *verifies* digests/event counts/RNG states at the checkpoint
-        barrier, then continues to ``until``. Like worker rebuilds,
-        the resumed scenario observes with the null registry."""
+        barrier, then continues to ``until``. Like every
+        :meth:`from_spec` rebuild it comes back unobserved; call
+        :meth:`observe` for the report an observed run gives
+        (``repro-net run --resume`` does, unless ``--no-obs``)."""
         if not isinstance(checkpoint, Checkpoint):
             checkpoint = load_checkpoint(checkpoint)
         scenario = cls.from_spec(checkpoint.spec)

@@ -2,9 +2,13 @@
 
 The multiprocess backend and the resilience layer rebuild workers from
 two picklable currencies — :class:`~repro.api.ScenarioSpec` (the full
-scenario, for spawn/respawn) and
-:class:`~repro.engine.sync.DomainMessage` (cross-domain mail, for
-epoch injection). Anything that rides either channel but cannot be
+scenario, for spawn/respawn) and cross-domain mail, for epoch
+injection. Mail crosses the process boundary as the flat field tuples
+of :func:`~repro.engine.parallel.encode_message` (message, packet and
+descriptor headers, transport segment fields); the only objects it
+pickles are what a segment carries for the application (TCP
+``messages`` and ``sack_blocks``, a UDP ``payload``) or a segment of
+an unknown type. Anything that rides either channel but cannot be
 pickled — a lambda, a nested closure, a bound method — works under
 ``fork`` by accident and dies under ``spawn`` or on the first worker
 respawn. These rules keep the currencies honest statically:
@@ -12,9 +16,11 @@ respawn. These rules keep the currencies honest statically:
 ========  ============================================================
 PORT001   A lambda or nested-function reference passed into a
           ``DomainMessage(...)`` constructor or a ``router.send(...)``
-          call: closures cannot cross the pipe. Encode behavior as a
-          ``(kind, target)`` pair and resolve it worker-side (the
-          ``encode_message``/``decode_message`` discipline).
+          call: closures cannot cross the pipe, and ``encode_message``
+          passes a segment's payload objects through as they are.
+          Encode behavior as a ``(kind, target)`` pair and resolve it
+          worker-side (``decode_message`` rebuilds packets and
+          descriptors against the receiving worker's own pipes).
 PORT002   ``Process(target=...)`` whose target is a lambda, a nested
           function, or a ``self.``-bound method: unpicklable under the
           spawn start method, so the backend silently stops being

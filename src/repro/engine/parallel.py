@@ -77,8 +77,12 @@ import threading
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.packet import PacketDescriptor
 from repro.engine.domain import INFINITY, run_digest
 from repro.engine.sync import DomainMessage, MSG_HOST
+from repro.net.packet import Packet
+from repro.net.sockets import UdpDatagram
+from repro.net.tcp import TcpSegment
 from repro.obs.report import RunStats
 from repro.resilience.policy import (
     BudgetExceeded,
@@ -87,9 +91,15 @@ from repro.resilience.policy import (
 )
 from repro.resilience.supervisor import WorkerSupervisor
 
-#: Payload encodings on the wire between processes.
-_ENC_DESCRIPTOR = 0
-_ENC_PACKET = 1
+#: How :func:`encode_message` flattens a packet's transport segment.
+_SEG_OTHER = 0  # any other object, passed through as is
+_SEG_TCP = 1
+_SEG_UDP = 2
+
+#: Fields before the segment tag: the message and packet headers, then
+#: (except on ``MSG_HOST`` mail) the descriptor's.
+_SEG_AT_HOST = 12
+_SEG_AT_DESCRIPTOR = 18
 
 
 class ParallelExecutionError(RuntimeError):
@@ -100,51 +110,106 @@ class ParallelExecutionError(RuntimeError):
 # Message encoding
 # ----------------------------------------------------------------------
 
-def encode_message(message: DomainMessage) -> DomainMessage:
-    """Replace the live payload with picklable plain data.
+def encode_message(message: DomainMessage) -> tuple:
+    """Flatten one message to a tuple of plain fields.
 
-    Descriptors reference live :class:`~repro.core.pipe.Pipe` objects,
-    which cannot cross a process boundary; they are flattened to pipe
-    ids and rehydrated against the destination worker's identical
-    pipe table. Packets and segments are plain data already.
+    The tuple holds the message header (time, src_domain, seq,
+    dst_domain, kind, target) and the packet header (id, src, dst,
+    size_bytes, proto, created_at). Descriptor mail (``MSG_TUNNEL``,
+    ``MSG_DELIVER``) adds the pipe ids, hop_index, entry_core,
+    entered_at, ideal_time and tunnel_hops: live pipes cannot cross a
+    process boundary, and the receiver's pipe table is identical. The
+    transport segment comes last, tagged by type: a
+    :class:`~repro.net.tcp.TcpSegment` or
+    :class:`~repro.net.sockets.UdpDatagram` as its fields, any other
+    object as is. Only the application objects a segment carries
+    (``messages``, ``sack_blocks``, a UDP ``payload``, or an unknown
+    segment) are pickled as objects; no packet, segment or message
+    class is. This is the paper's payload caching (§3.3) at the
+    process boundary: ship descriptors, not objects.
     """
-    if message.kind == MSG_HOST:
-        return message._replace(payload=(_ENC_PACKET, message.payload))
-    descriptor = message.payload
-    return message._replace(
-        payload=(
-            _ENC_DESCRIPTOR,
-            descriptor.packet,
-            tuple(pipe.id for pipe in descriptor.pipes),
-            descriptor.hop_index,
-            descriptor.entry_core,
-            descriptor.entered_at,
-            descriptor.ideal_time,
-            descriptor.tunnel_hops,
-        )
-    )
-
-
-def decode_message(message: DomainMessage, emulation) -> DomainMessage:
-    """Rehydrate an encoded payload against this process's emulation."""
-    from repro.core.packet import PacketDescriptor
-
+    kind = message.kind
     payload = message.payload
-    if payload[0] == _ENC_PACKET:
-        return message._replace(payload=payload[1])
-    (_, packet, pipe_ids, hop_index, entry_core, entered_at,
-     ideal_time, tunnel_hops) = payload
-    pipes_by_id = emulation._pipes_by_id
-    descriptor = PacketDescriptor.acquire(
-        packet,
-        tuple(pipes_by_id[pipe_id] for pipe_id in pipe_ids),
-        entry_core,
-        entered_at,
+    packet = payload if kind == MSG_HOST else payload.packet
+    fields = (
+        message.time, message.src_domain, message.seq, message.dst_domain,
+        kind, message.target,
+        packet.id, packet.src, packet.dst, packet.size_bytes, packet.proto,
+        packet.created_at,
     )
-    descriptor.hop_index = hop_index
-    descriptor.ideal_time = ideal_time
-    descriptor.tunnel_hops = tunnel_hops
-    return message._replace(payload=descriptor)
+    if kind != MSG_HOST:
+        fields += (
+            tuple([pipe.id for pipe in payload.pipes]),
+            payload.hop_index,
+            payload.entry_core,
+            payload.entered_at,
+            payload.ideal_time,
+            payload.tunnel_hops,
+        )
+    segment = packet.segment
+    segment_type = type(segment)
+    if segment_type is TcpSegment:
+        return fields + (
+            _SEG_TCP, segment.sport, segment.dport, segment.seq,
+            segment.ack_seq, segment.flags, segment.wnd, segment.payload_len,
+            segment.messages, segment.sack_blocks,
+        )
+    if segment_type is UdpDatagram:
+        return fields + (
+            _SEG_UDP, segment.sport, segment.dport, segment.payload,
+            segment.payload_len,
+        )
+    return fields + (_SEG_OTHER, segment)
+
+
+class PipeRoutes(dict):
+    """Pipe-id tuple -> the same route as this process's own pipes
+    tuple, built from the emulation's pipe table on first use. Mail
+    follows few distinct routes, so each is resolved once."""
+
+    __slots__ = ("_pipes_by_id",)
+
+    def __init__(self, emulation) -> None:
+        super().__init__()
+        self._pipes_by_id = emulation._pipes_by_id
+
+    def __missing__(self, pipe_ids: tuple) -> tuple:
+        pipes_by_id = self._pipes_by_id
+        pipes = self[pipe_ids] = tuple([pipes_by_id[i] for i in pipe_ids])
+        return pipes
+
+
+def decode_message(fields: tuple, routes: PipeRoutes) -> DomainMessage:
+    """Rebuild an :func:`encode_message` tuple into a message whose
+    packet keeps the sender's ``id`` and whose descriptor, if any,
+    runs over this process's own pipes (``routes``)."""
+    kind = fields[4]
+    segment_at = _SEG_AT_HOST if kind == MSG_HOST else _SEG_AT_DESCRIPTOR
+    tag = fields[segment_at]
+    if tag == _SEG_TCP:
+        segment = TcpSegment(*fields[segment_at + 1:])
+    elif tag == _SEG_UDP:
+        segment = UdpDatagram(*fields[segment_at + 1:])
+    else:
+        segment = fields[segment_at + 1]
+    # Not Packet(...): the constructor draws a fresh id from this
+    # process's counter, and the packet is the sender's.
+    packet = Packet.__new__(Packet)
+    (packet.id, packet.src, packet.dst, packet.size_bytes, packet.proto,
+     packet.created_at) = fields[6:12]
+    packet.segment = segment
+    if kind == MSG_HOST:
+        payload = packet
+    else:
+        (pipe_ids, hop_index, entry_core, entered_at, ideal_time,
+         tunnel_hops) = fields[12:18]
+        payload = PacketDescriptor.acquire(
+            packet, routes[pipe_ids], entry_core, entered_at
+        )
+        payload.hop_index = hop_index
+        payload.ideal_time = ideal_time
+        payload.tunnel_hops = tunnel_hops
+    return DomainMessage(*fields[:6], payload)
 
 
 def pack_frame(payload: Any) -> bytes:
@@ -258,11 +323,11 @@ class PeerSync:
     def __init__(self, sim, emulation, groups, index: int, mesh: PeerMesh,
                  timing: Dict[str, float]) -> None:
         self._sim = sim
-        self._emulation = emulation
         self._groups = groups
         self._index = index
         self._owner = {d: w for w, group in enumerate(groups) for d in group}
         self._mesh = mesh
+        self._routes = PipeRoutes(emulation)
         self._timing = timing
         self._mark = perf_counter()  # repro: allow-wallclock
 
@@ -302,13 +367,13 @@ class PeerSync:
             received = self._mesh.exchange(frames)
             arrived = perf_counter()  # repro: allow-wallclock
             timing["exchange_s"] += arrived - sent
-            emulation = self._emulation
+            routes = self._routes
             for peer, frame in received.items():
                 peer_heads, peer_min, mail = unpack_frame(frame)
                 for d, t in zip(self._groups[peer], peer_heads):
                     next_times[d] = t
                 minima.append(peer_min)
-                inbox.extend(decode_message(m, emulation) for m in mail)
+                inbox.extend([decode_message(m, routes) for m in mail])
             start += arrived - sent
         for mins in minima:
             for d, t in mins.items():
@@ -550,6 +615,51 @@ class MultiprocessResult:
         return run_digest(self.domain_digests)
 
 
+def worker_groups(
+    num_domains: int, direct: Dict[Tuple[int, int], float], num_workers: int
+) -> List[List[int]]:
+    """Deal domains to ``num_workers`` workers as balanced contiguous
+    blocks of a depth-first order over the lookahead graph ``direct``
+    (a :class:`~repro.engine.sync.LookaheadMatrix`'s direct pairs, read
+    as undirected edges).
+
+    The walk starts at domain 0 and takes the lowest-id neighbour
+    first; a domain it does not reach starts the next walk, in id
+    order. Directly connected domains are then adjacent in the order,
+    so a block keeps their mail inside one process instead of pickling
+    it across. Block sizes differ by at most one, the larger blocks
+    first, and domain 0 is always worker 0's (:meth:`RunStats.merge
+    <repro.obs.report.RunStats.merge>` reads build-wide metrics from
+    worker 0's part). The grouping never changes a digest: every
+    domain's event stream is the same in any process.
+    """
+    neighbours: List[set] = [set() for _ in range(num_domains)]
+    for src, dst in direct:
+        neighbours[src].add(dst)
+        neighbours[dst].add(src)
+    order: List[int] = []
+    seen = [False] * num_domains
+    for root in range(num_domains):
+        stack = [root]
+        while stack:
+            d = stack.pop()
+            if seen[d]:
+                continue
+            seen[d] = True
+            order.append(d)
+            stack.extend(sorted(
+                (n for n in neighbours[d] if not seen[n]), reverse=True
+            ))
+    size, extra = divmod(num_domains, num_workers)
+    groups = []
+    start = 0
+    for w in range(num_workers):
+        end = start + size + (w < extra)
+        groups.append(order[start:end])
+        start = end
+    return groups
+
+
 def _mp_context():
     """fork where available (cheap, no spec pickling through argv);
     spawn otherwise. Both paths keep the spec picklable anyway."""
@@ -578,8 +688,10 @@ def run_multiprocess(
     ``workers == 0`` means one per domain, capped at the number of CPUs
     this process may run on (oversubscription buys no parallelism and
     pays a context-switch chain at every barrier); an explicit count is
-    honored uncapped. Domains are dealt to workers round-robin; any
-    worker count from 1 to ``num_domains`` produces identical digests.
+    honored uncapped. Domains are dealt to workers by
+    :func:`worker_groups`, so directly connected domains share a
+    worker; any worker count from 1 to ``num_domains`` produces
+    identical digests.
     The workers drive the epoch loop themselves, swapping mail and
     next-event times peer to peer. Every worker streams its domains'
     native digests (supervision needs them for verified recovery), so
@@ -636,7 +748,7 @@ def run_multiprocess(
         )
         workers = max(1, min(num_domains, cpus))
     num_workers = min(workers, num_domains)
-    owned = [list(range(w, num_domains, num_workers)) for w in range(num_workers)]
+    owned = worker_groups(num_domains, sim.matrix.direct, num_workers)
 
     result = MultiprocessResult()
     result.workers = num_workers

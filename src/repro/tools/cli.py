@@ -247,8 +247,9 @@ def _cmd_run(args) -> int:
             return 2
     if args.reference:
         scenario.config(reference=True)
-    if args.no_obs:
-        scenario.observe(False)
+    # A checkpoint's scenario comes back unobserved, like every spec
+    # rebuild; a resumed run reports what the run it resumes reported.
+    scenario.observe(not args.no_obs)
     resilient = args.resume or args.expect_digests or any(
         value is not None
         for value in (

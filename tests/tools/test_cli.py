@@ -161,6 +161,34 @@ def test_run_budget_abort_exits_3_with_partial_report(tmp_path, capsys):
     assert "resilience.downgrades" in metrics
 
 
+@pytest.mark.parametrize("no_obs", [False, True])
+def test_resumed_run_reports_the_metrics_the_aborted_run_did(
+    tmp_path, capsys, no_obs
+):
+    import json
+    import os
+
+    examples = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
+    checkpoint = str(tmp_path / "ring.ckpt")
+    aborted_path = tmp_path / "aborted.json"
+    resumed_path = tmp_path / "resumed.json"
+    obs = ["--no-obs"] if no_obs else []
+    assert main([
+        "run", os.path.join(examples, "ring8x2.gml"), "--cores", "4",
+        "--domains", "4", "--flows", "8", "--seed", "1", "--seconds", "0.2",
+        "--checkpoint-every", "0.05", "--checkpoint", checkpoint,
+        "--max-events", "3000", "--report", str(aborted_path), *obs,
+    ]) == 3
+    assert main([
+        "run", "--resume", checkpoint, "--report", str(resumed_path), *obs,
+    ]) == 0
+    capsys.readouterr()
+    aborted = json.loads(aborted_path.read_text())["metrics"]
+    resumed = json.loads(resumed_path.read_text())["metrics"]
+    assert set(resumed) - {"run.resumed_from_t"} == set(aborted)
+    assert ("pipe.enqueue_s" in resumed) == (not no_obs)
+
+
 def test_check_src_is_clean(capsys):
     import os
 
