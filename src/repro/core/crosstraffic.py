@@ -85,13 +85,22 @@ class CrossTrafficModel:
 
     def __init__(self, emulation: Emulation):
         self.emulation = emulation
-        self._baseline: Dict[int, Tuple[float, float, int]] = {}
-        for pipe in emulation.pipes.values():
-            self._baseline[pipe.id] = (
-                pipe.bandwidth_bps,
-                pipe.latency_s,
-                pipe.queue_limit,
-            )
+        # Every change to a pipe goes through its build, so a pipe not
+        # built yet still has its bind-time parameters: only the built
+        # ones need a snapshot (see _baseline_of).
+        self._baseline: Dict[int, Tuple[float, float, int]] = {
+            pipe.id: (pipe.bandwidth_bps, pipe.latency_s, pipe.queue_limit)
+            for pipe in emulation.pipes.built()
+        }
+
+    def _baseline_of(self, pipe_id: int) -> Tuple[float, float, int]:
+        """(bandwidth, latency, queue limit) of ``pipe_id`` when this
+        model was made."""
+        baseline = self._baseline.get(pipe_id)
+        if baseline is None:
+            spec = self.emulation.pipes.initial(pipe_id)
+            baseline = (spec.bandwidth_bps, spec.latency_s, spec.queue_limit)
+        return baseline
 
     # ------------------------------------------------------------------
 
@@ -99,7 +108,6 @@ class CrossTrafficModel:
         """Offline propagation of matrix demand through the routing
         tables to per-pipe background load and derived settings."""
         load: Dict[int, float] = {}
-        pipe_by_id = {pipe.id: pipe for pipe in self.emulation.pipes.values()}
         for src, dst, bps in matrix.pairs():
             pipes = self.emulation.lookup_pipes(src, dst)
             if not pipes:
@@ -109,7 +117,7 @@ class CrossTrafficModel:
 
         adjustments: List[PipeAdjustment] = []
         for pipe_id, background in sorted(load.items()):
-            base_bw, base_lat, base_queue = self._baseline[pipe_id]
+            base_bw, base_lat, base_queue = self._baseline_of(pipe_id)
             background = min(background, self.MAX_UTILIZATION * base_bw)
             utilization = background / base_bw
             effective_bw = base_bw - background
@@ -131,22 +139,24 @@ class CrossTrafficModel:
 
     def apply(self, matrix: CrossTrafficMatrix) -> List[PipeAdjustment]:
         """Derive and install pipe settings for ``matrix``. Pipes not
-        loaded by the matrix revert to their baseline."""
+        loaded by the matrix revert to their baseline (a pipe not built
+        yet is at it already)."""
         adjustments = self.propagate(matrix)
         adjusted_ids = {adj.pipe_id for adj in adjustments}
-        pipe_by_id = {pipe.id: pipe for pipe in self.emulation.pipes.values()}
-        for pipe_id, (bw, lat, queue) in self._baseline.items():
-            if pipe_id not in adjusted_ids:
+        table = self.emulation.pipes
+        for pipe in table.built():
+            if pipe.id not in adjusted_ids:
+                bw, lat, queue = self._baseline_of(pipe.id)
                 # Cross-traffic distillation is its own sanctioned
                 # pipe-parameter seam: profiles are scheduled on the
                 # owning kernel, so every backend applies them at the
                 # same virtual time.
-                pipe_by_id[pipe_id].set_params(  # repro: allow-fault-mutation
+                pipe.set_params(  # repro: allow-fault-mutation
                     bandwidth_bps=bw, latency_s=lat, queue_limit=queue
                 )
         for adj in adjustments:
-            pipe = pipe_by_id[adj.pipe_id]
-            base_bw, base_lat, _queue = self._baseline[adj.pipe_id]
+            pipe = table.by_id(adj.pipe_id)
+            _bw, base_lat, _queue = self._baseline_of(adj.pipe_id)
             pipe.set_params(  # repro: allow-fault-mutation
                 bandwidth_bps=adj.bandwidth_bps,
                 latency_s=base_lat + adj.extra_latency_s,
@@ -155,10 +165,11 @@ class CrossTrafficModel:
         return adjustments
 
     def clear(self) -> None:
-        """Restore every pipe to its baseline parameters."""
-        pipe_by_id = {pipe.id: pipe for pipe in self.emulation.pipes.values()}
-        for pipe_id, (bw, lat, queue) in self._baseline.items():
-            pipe_by_id[pipe_id].set_params(  # repro: allow-fault-mutation
+        """Restore every pipe to its baseline parameters (a pipe not
+        built yet is at them already)."""
+        for pipe in self.emulation.pipes.built():
+            bw, lat, queue = self._baseline_of(pipe.id)
+            pipe.set_params(  # repro: allow-fault-mutation
                 bandwidth_bps=bw, latency_s=lat, queue_limit=queue
             )
 

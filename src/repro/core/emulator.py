@@ -3,8 +3,9 @@
 :class:`Emulation` is the public entry point for running traffic
 through a distilled topology. It owns:
 
-* two pipes per topology link (one per direction), stamped with
-  owners from the Assignment;
+* a :class:`PipeTable` of two pipes per topology link (one per
+  direction), each built the first time a route, a fault or a
+  cross-process message needs it, with its owner from the Assignment;
 * one :class:`~repro.core.node.CoreNode` per core, with physical NIC
   links when the physical layer is modeled;
 * one :class:`EdgeHost` per physical edge node from the Binding, with
@@ -25,8 +26,9 @@ Two fidelity regimes are supported via :class:`EmulationConfig`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from repro.core.assign import Assignment
 from repro.core.bind import Binding
@@ -34,6 +36,7 @@ from repro.core.monitor import EmulationMonitor
 from repro.core.node import CoreNode
 from repro.core.pipe import Pipe
 from repro.core.pod import PipeOwnershipDirectory
+from repro.core.queues import DROP_TAIL, REDQueue
 from repro.engine.randomness import RngRegistry
 from repro.engine.simulator import Simulator
 from repro.hardware.calibration import (
@@ -263,6 +266,153 @@ class EdgeHost:
         return f"<EdgeHost {self.index} vns={len(self.vns)} core={self.core.index}>"
 
 
+class PipeSpec(NamedTuple):
+    """A pipe as its link stood at bind time: what :class:`PipeTable`
+    builds, and what :meth:`PipeTable.peek` shows of a pipe not built
+    yet. Field names are :class:`Pipe`'s, so readers of logical
+    structure take either."""
+
+    id: int
+    link_id: int
+    src_node: int
+    dst_node: int
+    bandwidth_bps: float
+    latency_s: float
+    loss_rate: float
+    queue_limit: int
+    up: bool
+    owner: int
+
+
+def make_qdisc(link):
+    """Per-link queueing discipline: the shared FIFO drop-tail by
+    default; ``qdisc="red"`` in the link attrs selects RED, with
+    optional red_min_th/red_max_th/red_max_p overrides
+    (dummynet-style)."""
+    if link.attrs.get("qdisc") == "red":
+        return REDQueue(
+            min_th_frac=link.attrs.get("red_min_th", 0.25),
+            max_th_frac=link.attrs.get("red_max_th", 0.75),
+            max_p=link.attrs.get("red_max_p", 0.1),
+        )
+    return DROP_TAIL
+
+
+class PipeTable:
+    """Two pipes per topology link, each built the first time something
+    asks for it.
+
+    Pipe ids are a pure function of the link: ``2 * rank + direction``,
+    where ``rank`` is the link's position in id order and direction 0
+    runs ``link.a -> link.b``. The table is a flat list that holds
+    ``None`` for a pipe not built yet, so an idle pipe costs a list
+    slot, not a :class:`Pipe` and its delay line (a pipe is a small
+    kernel struct, paper §2.2; end-to-end distillation, §4.3, asks for
+    a great many of them).
+
+    A pipe is built from its link's state when the table was made, at
+    bind time (:meth:`initial`), so it equals the pipe an eager build
+    would have made then. Edits made behind the emulation's back —
+    ``DynamicRouting.node_failed`` flips ``link.up``, the reassigner
+    rewrites the live owner maps — do not leak into it; the
+    emulation's own mutators build the pipes they change first.
+    """
+
+    def __init__(self, links, link_to_core: Dict[int, int]):
+        links = sorted(links, key=attrgetter("id"))
+        self._links = links
+        # Link id -> rank. Ids are usually dense, and then a range is
+        # the identity map at no cost per link.
+        if all(link.id == rank for rank, link in enumerate(links)):
+            self._rank = range(len(links))
+        else:
+            self._rank = {link.id: rank for rank, link in enumerate(links)}
+        #: Bind-time state by rank, one column per PipeSpec field from
+        #: ``bandwidth_bps`` on.
+        self._columns = [
+            list(map(attrgetter(name), links))
+            for name in ("bandwidth_bps", "latency_s", "loss_rate", "queue_limit", "up")
+        ]
+        self._columns.append([link_to_core[link.id] for link in links])
+        self._pipes: List[Optional[Pipe]] = [None] * (2 * len(links))
+        #: The ``pipe.enqueue_s`` histogram, armed on every pipe built
+        #: when the run is observed.
+        self.timer = None
+
+    def __len__(self) -> int:
+        """The logical pipe count: two per link, built or not."""
+        return len(self._pipes)
+
+    @property
+    def num_built(self) -> int:
+        return len(self._pipes) - self._pipes.count(None)
+
+    def pipe_id(self, link_id: int, direction: int) -> int:
+        return 2 * self._rank[link_id] + direction
+
+    def pipe(self, link_id: int, direction: int) -> Pipe:
+        """The pipe of ``link_id`` in ``direction`` (0 runs a->b),
+        built on first use."""
+        return self.by_id(self.pipe_id(link_id, direction))
+
+    def by_id(self, pipe_id: int) -> Pipe:
+        """The pipe with ``pipe_id``, built on first use."""
+        if pipe_id < 0:
+            raise IndexError(f"no pipe {pipe_id}")
+        pipe = self._pipes[pipe_id]
+        if pipe is None:
+            spec = self.initial(pipe_id)
+            pipe = Pipe(
+                pipe_id,
+                spec.bandwidth_bps,
+                spec.latency_s,
+                spec.loss_rate,
+                spec.queue_limit,
+                qdisc=make_qdisc(self._links[pipe_id >> 1]),
+                link_id=spec.link_id,
+                src_node=spec.src_node,
+                dst_node=spec.dst_node,
+            )
+            pipe.up = spec.up
+            pipe.owner = spec.owner
+            pipe._timer = self.timer
+            self._pipes[pipe_id] = pipe
+        return pipe
+
+    def initial(self, pipe_id: int) -> PipeSpec:
+        """``pipe_id`` as its link stood at bind time."""
+        rank, direction = divmod(pipe_id, 2)
+        link = self._links[rank]
+        src, dst = (link.a, link.b) if direction == 0 else (link.b, link.a)
+        return PipeSpec(
+            pipe_id, link.id, src, dst, *[column[rank] for column in self._columns]
+        )
+
+    def peek(self, pipe_id: int) -> Union[Pipe, PipeSpec]:
+        """The pipe if built, else its :meth:`initial` spec: for reads
+        that must not build one."""
+        pipe = self._pipes[pipe_id]
+        return pipe if pipe is not None else self.initial(pipe_id)
+
+    def built(self) -> List[Pipe]:
+        """Every pipe built so far, in id order."""
+        return [pipe for pipe in self._pipes if pipe is not None]
+
+    def owners(self) -> Iterator[int]:
+        """Each logical pipe's owning core, in id order. Builds
+        nothing, and makes no spec: cheap over a paper-scale table."""
+        bind_owner = self._columns[-1]
+        return (
+            bind_owner[pipe_id >> 1] if pipe is None else pipe.owner
+            for pipe_id, pipe in enumerate(self._pipes)
+        )
+
+    def logical(self) -> Iterator[Union[Pipe, PipeSpec]]:
+        """Every logical pipe in id order, as :meth:`peek` shows it.
+        Builds nothing."""
+        return map(self.peek, range(len(self._pipes)))
+
+
 class Emulation:
     """A running ModelNet instance over a distilled topology.
 
@@ -323,38 +473,11 @@ class Emulation:
         self.obs: MetricsRegistry = registry if registry is not None else NULL_REGISTRY
         self._route_timer = None
 
-        # --- pipes: one per link direction --------------------------------
-        self.pipes: Dict[Tuple[int, int], Pipe] = {}
-        pipe_id = 0
-        for link in sorted(topology.links.values(), key=lambda l: l.id):
-            for direction, (src, dst) in enumerate(
-                ((link.a, link.b), (link.b, link.a))
-            ):
-                pipe = Pipe(
-                    pipe_id,
-                    link.bandwidth_bps,
-                    link.latency_s,
-                    link.loss_rate,
-                    link.queue_limit,
-                    qdisc=self._make_qdisc(link),
-                    link_id=link.id,
-                    src_node=src,
-                    dst_node=dst,
-                )
-                pipe.up = link.up
-                self.pipes[(link.id, direction)] = pipe
-                pipe_id += 1
-
-        # --- assignment & POD ----------------------------------------------
+        # --- assignment, POD, and pipes (one per link direction) -------------
         self.assignment = assignment
         num_cores = assignment.num_cores
         self.pod = PipeOwnershipDirectory(assignment)
-        self.pod.install(self.pipes.values())
-        #: Pipe id -> pipe, for rehydrating tunneled descriptors that
-        #: crossed a process boundary (repro.engine.parallel).
-        self._pipes_by_id: Dict[int, Pipe] = {
-            pipe.id: pipe for pipe in self.pipes.values()
-        }
+        self.pipes = PipeTable(topology.links.values(), assignment.link_to_core)
 
         # --- core -> domain map --------------------------------------------
         if self.num_domains > num_cores:
@@ -558,12 +681,10 @@ class Emulation:
             if prev is None or bound < prev:
                 pairs[(src, dst)] = bound
 
-        domain_of_pipe = {
-            pipe.id: self._domain_of_core[pipe.owner]
-            for pipe in self.pipes.values()
-        }
-        pipes_from: Dict[int, List[Pipe]] = {}
-        for pipe in self.pipes.values():
+        logical = list(self.pipes.logical())
+        domain_of_pipe = [self._domain_of_core[pipe.owner] for pipe in logical]
+        pipes_from: Dict[int, List[PipeSpec]] = {}
+        for pipe in logical:
             pipes_from.setdefault(pipe.src_node, []).append(pipe)
         host_domains_of_node: Dict[int, set] = {}
         for vn_id, node_id in enumerate(self._node_of_vn):
@@ -573,7 +694,7 @@ class Emulation:
 
         overrides = latency_min or {}
 
-        def checked(pipe: Pipe, src: int, dst: int) -> float:
+        def checked(pipe: PipeSpec, src: int, dst: int) -> float:
             lat = pipe.latency_s
             timeline_min = overrides.get(pipe.link_id)
             if timeline_min is not None and timeline_min < lat:
@@ -589,7 +710,7 @@ class Emulation:
                     )
             return lat
 
-        for pipe in self.pipes.values():
+        for pipe in logical:
             src_domain = domain_of_pipe[pipe.id]
             for next_pipe in pipes_from.get(pipe.dst_node, ()):  # R1
                 dst_domain = domain_of_pipe[next_pipe.id]
@@ -620,9 +741,7 @@ class Emulation:
         per-arrival pipe enqueue, per-wakeup scheduler collect, and
         route-cache misses."""
         self._route_timer = self.obs.histogram("route.lookup_s")
-        enqueue = self.obs.histogram("pipe.enqueue_s")
-        for pipe in self.pipes.values():
-            pipe._timer = enqueue
+        self.pipes.timer = self.obs.histogram("pipe.enqueue_s")
         for core in self.cores:
             core.scheduler.collect_timer = self.obs.histogram(
                 "sched.collect_s", core=core.index
@@ -634,21 +753,6 @@ class Emulation:
     # ------------------------------------------------------------------
     # Fabric interface
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _make_qdisc(link):
-        """Per-link queueing discipline: FIFO drop-tail by default;
-        ``qdisc="red"`` in the link attrs selects RED, with optional
-        red_min_th/red_max_th/red_max_p overrides (dummynet-style)."""
-        from repro.core.queues import DropTailQueue, REDQueue
-
-        if link.attrs.get("qdisc") == "red":
-            return REDQueue(
-                min_th_frac=link.attrs.get("red_min_th", 0.25),
-                max_th_frac=link.attrs.get("red_max_th", 0.75),
-                max_p=link.attrs.get("red_max_p", 0.1),
-            )
-        return DropTailQueue()
 
     def _direct_transmit(self, packet: Packet) -> None:
         """Reference mode: packets enter the entry core instantly.
@@ -687,7 +791,7 @@ class Emulation:
 
     def _pipe_for_hop(self, hop) -> Pipe:
         direction = 0 if hop.src == hop.link.a else 1
-        return self.pipes[(hop.link.id, direction)]
+        return self.pipes.pipe(hop.link.id, direction)
 
     def host_of_vn(self, vn_id: int) -> EdgeHost:
         return self.hosts[self.binding.vn_to_host[vn_id]]
@@ -721,8 +825,8 @@ class Emulation:
         return len(self.vns)
 
     def pipes_of_link(self, link_id: int) -> Tuple[Pipe, Pipe]:
-        """(a->b, b->a) pipes of a topology link."""
-        return self.pipes[(link_id, 0)], self.pipes[(link_id, 1)]
+        """(a->b, b->a) pipes of a topology link, built on first use."""
+        return self.pipes.pipe(link_id, 0), self.pipes.pipe(link_id, 1)
 
     def set_link_params(self, link_id: int, **params) -> None:
         """Adjust both directions of a link's pipes at runtime.
@@ -755,7 +859,7 @@ class Emulation:
     def virtual_drops(self) -> int:
         return sum(
             pipe.drops_overflow + pipe.drops_random + pipe.drops_down
-            for pipe in self.pipes.values()
+            for pipe in self.pipes.built()
         )
 
     def accuracy_report(self):

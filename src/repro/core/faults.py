@@ -275,12 +275,14 @@ class FaultApplier:
 
         Taken lazily — an eager snapshot at install would clobber a
         deliberate ``set_link_params`` made after it when the window
-        restores "originals" — and read from the live pipe, not the
+        restores "originals" — and read from the live pipe (or the
+        state a pipe not built yet will be built with), not the
         topology link: ``Emulation.set_link_params`` only touches the
         pipes, and the snapshot must honor it."""
         snapshot = self._originals.get(link_id)
         if snapshot is None:
-            pipe = self.emulation.pipes_of_link(link_id)[0]
+            pipes = self.emulation.pipes
+            pipe = pipes.peek(pipes.pipe_id(link_id, 0))
             snapshot = (pipe.bandwidth_bps, pipe.latency_s, pipe.loss_rate)
             self._originals[link_id] = snapshot
         return snapshot
@@ -308,8 +310,9 @@ class FaultApplier:
         — the restored-vs-perturbed state a checkpoint must pin down
         so a resume can verify the replayed timeline byte-identically."""
         out: Dict[int, Tuple[bool, float, float, float]] = {}
+        pipes = self.emulation.pipes
         for link_id in self.touched_links():
-            pipe, _ = self.emulation.pipes_of_link(link_id)
+            pipe = pipes.peek(pipes.pipe_id(link_id, 0))
             out[link_id] = (
                 bool(pipe.up),
                 pipe.bandwidth_bps,

@@ -25,7 +25,7 @@ from typing import List
 
 from repro.core.kernel import DelayLine
 from repro.core.packet import PacketDescriptor
-from repro.core.queues import DropTailQueue
+from repro.core.queues import DROP_TAIL, DropTailQueue
 
 INFINITY = float("inf")
 
@@ -86,7 +86,7 @@ class Pipe:
         self.latency_s = float(latency_s)
         self.loss_rate = float(loss_rate)
         self.queue_limit = int(queue_limit)
-        self.qdisc = qdisc or DropTailQueue()
+        self.qdisc = qdisc or DROP_TAIL
         # Plain drop-tail admission is a single comparison; inline it
         # on the arrival path instead of dispatching through admit().
         self._droptail = type(self.qdisc) is DropTailQueue

@@ -23,11 +23,6 @@ class PipeOwnershipDirectory:
         self.num_cores = assignment.num_cores
         self._link_to_core = dict(assignment.link_to_core)
 
-    def install(self, pipes: Iterable[Pipe]) -> None:
-        """Stamp ``owner`` on every pipe from the assignment."""
-        for pipe in pipes:
-            pipe.owner = self._link_to_core[pipe.link_id]
-
     def owner_of(self, pipe: Pipe) -> int:
         return self._link_to_core[pipe.link_id]
 

@@ -25,6 +25,11 @@ class DropTailQueue:
         return "<DropTail>"
 
 
+#: The drop-tail discipline every FIFO pipe shares: it keeps no state,
+#: so one instance serves them all. RED keeps an EWMA per pipe.
+DROP_TAIL = DropTailQueue()
+
+
 class REDQueue:
     """Random Early Detection (Floyd/Jacobson gentle-free variant).
 

@@ -77,14 +77,14 @@ class DynamicReassigner:
     def observed_crossings(self) -> int:
         """Packets observed moving between pipes on different cores
         (including ingress-to-first-pipe crossings) this window."""
-        pipes = {pipe.id: pipe for pipe in self.emulation.pipes.values()}
+        by_id = self.emulation.pipes.by_id
         crossings = 0
         for (prev_id, next_id), count in self._tracker.items():
-            next_owner = pipes[next_id].owner
+            next_owner = by_id(next_id).owner
             if prev_id < 0:
                 prev_owner = -1 - prev_id
             else:
-                prev_owner = pipes[prev_id].owner
+                prev_owner = by_id(prev_id).owner
             if prev_owner != next_owner:
                 crossings += count
         return crossings
@@ -93,7 +93,9 @@ class DynamicReassigner:
         """One greedy round; returns the number of pipes migrated."""
         self.rounds += 1
         emulation = self.emulation
-        pipes = {pipe.id: pipe for pipe in emulation.pipes.values()}
+        table = emulation.pipes
+        # Tracked ids are of pipes that carried packets, so built ones.
+        by_id = table.by_id
         num_cores = len(emulation.cores)
 
         # Per-pipe traffic affinity to each core.
@@ -112,7 +114,7 @@ class DynamicReassigner:
                 owner_of_other = (
                     fixed_owner
                     if fixed_owner is not None
-                    else pipes[other_id].owner
+                    else by_id(other_id).owner
                     if other_id >= 0
                     else -1 - other_id
                 )
@@ -120,9 +122,9 @@ class DynamicReassigner:
                 weights[owner_of_other] += count
 
         loads = [0] * num_cores
-        for pipe in pipes.values():
-            loads[pipe.owner] += 1
-        max_load = self.load_imbalance_limit * len(pipes) / num_cores
+        for owner in table.owners():
+            loads[owner] += 1
+        max_load = self.load_imbalance_limit * len(table) / num_cores
 
         # Consider the hottest pipes first.
         candidates = sorted(
@@ -132,7 +134,7 @@ class DynamicReassigner:
         for pipe_id, weights in candidates:
             if moves >= self.max_moves_per_round:
                 break
-            pipe = pipes[pipe_id]
+            pipe = by_id(pipe_id)
             current = pipe.owner
             best = max(range(num_cores), key=lambda core: weights[core])
             if best == current or weights[best] <= weights[current]:
@@ -165,6 +167,7 @@ class DynamicReassigner:
         # emulations, so this core shares our clock and heap.
         core.scheduler.notify(pipe)  # repro: allow-unrouted-peer-call
         core._reschedule_wake()  # repro: allow-unrouted-peer-call
-        forward, _reverse = self.emulation.pipes_of_link(pipe.link_id)
+        table = self.emulation.pipes
+        forward = table.peek(table.pipe_id(pipe.link_id, 0))
         self.emulation.pod._link_to_core[pipe.link_id] = forward.owner
         self.emulation.assignment.link_to_core[pipe.link_id] = forward.owner

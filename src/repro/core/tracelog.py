@@ -121,7 +121,7 @@ class TraceLog:
 
         if sample_pipes_every_s > 0:
             def sample():
-                for pipe in emulation.pipes.values():
+                for pipe in emulation.pipes.built():
                     if pipe.in_flight:
                         self.emit(
                             sim.now, PIPE_SAMPLE, pipe.id, pipe.backlog_pkts,

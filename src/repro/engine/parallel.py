@@ -167,15 +167,15 @@ class PipeRoutes(dict):
     tuple, built from the emulation's pipe table on first use. Mail
     follows few distinct routes, so each is resolved once."""
 
-    __slots__ = ("_pipes_by_id",)
+    __slots__ = ("_by_id",)
 
     def __init__(self, emulation) -> None:
         super().__init__()
-        self._pipes_by_id = emulation._pipes_by_id
+        self._by_id = emulation.pipes.by_id
 
     def __missing__(self, pipe_ids: tuple) -> tuple:
-        pipes_by_id = self._pipes_by_id
-        pipes = self[pipe_ids] = tuple([pipes_by_id[i] for i in pipe_ids])
+        by_id = self._by_id
+        pipes = self[pipe_ids] = tuple([by_id(i) for i in pipe_ids])
         return pipes
 
 

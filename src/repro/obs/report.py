@@ -185,11 +185,13 @@ class RunStats:
                 stats.metrics.install(hist)
 
         # -- pipes: drop taxonomy and occupancy (Figs. 8-10 inputs) -----
+        # Counters live on built pipes only; a pipe not built yet has
+        # seen no packet. ``pipe.count`` is the logical count.
         arrivals = departures = batch_departures = overflow = random_ = down = 0
         bytes_accepted = bytes_through = in_flight = backlog = peak = 0
+        owned_cores = [core.domain_id in owned for core in emulation.cores]
         pipes = [
-            pipe for pipe in emulation.pipes.values()
-            if emulation.cores[pipe.owner].domain_id in owned
+            pipe for pipe in emulation.pipes.built() if owned_cores[pipe.owner]
         ]
         for pipe in pipes:
             arrivals += pipe.arrivals
@@ -204,7 +206,11 @@ class RunStats:
             backlog += pipe.backlog_pkts
             if pipe.peak_backlog > peak:
                 peak = pipe.peak_backlog
-        put("pipe.count", len(pipes))
+        put(
+            "pipe.count",
+            sum(owned_cores[owner] for owner in emulation.pipes.owners()),
+        )
+        put("pipe.built", len(pipes))
         put("pipe.arrivals", arrivals)
         put("pipe.departures", departures)
         put("pipe.batch_departures", batch_departures)

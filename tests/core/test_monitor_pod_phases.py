@@ -77,7 +77,7 @@ def test_pod_ownership_and_crossings():
     crossings = pod.crossings(pipes)
     owners = {pod.owner_of(pipe) for pipe in pipes}
     assert crossings == len(owners) - 1 if len(pipes) == 2 else crossings >= 0
-    load = pod.load_by_core(emulation.pipes.values())
+    load = pod.load_by_core(emulation.pipes.logical())
     assert sum(load) == len(emulation.pipes)
 
 

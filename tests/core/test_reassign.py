@@ -92,7 +92,7 @@ def test_moves_keep_load_bounded():
     sim.run(until=5.0)
     reassigner.stop()
     loads = [0, 0]
-    for pipe in emulation.pipes.values():
+    for pipe in emulation.pipes.logical():
         loads[pipe.owner] += 1
     assert max(loads) <= 1.5 * len(emulation.pipes) / 2
     for stream in streams:

@@ -54,7 +54,7 @@ def emulations():
 
 
 def _descriptor(emulation, segment, proto):
-    pipes = tuple(sorted(emulation.pipes.values(), key=lambda p: p.id)[3:7])
+    pipes = tuple(emulation.pipes.by_id(pipe_id) for pipe_id in range(3, 7))
     packet = Packet(2, 9, 1040, proto, segment, created_at=0.125)
     descriptor = PacketDescriptor(packet, pipes, entry_core=1, entered_at=0.25)
     descriptor.hop_index = 2
@@ -135,10 +135,25 @@ def test_decoded_pipes_are_the_receivers_own(emulations):
     assert descriptors
     for descriptor in descriptors:
         for pipe in descriptor.pipes:
-            assert pipe is receiver._pipes_by_id[pipe.id]
-            assert pipe is not sender._pipes_by_id[pipe.id]
+            assert pipe is receiver.pipes.by_id(pipe.id)
+            assert pipe is not sender.pipes.by_id(pipe.id)
     # One route, one tuple: the pipes tuple is resolved once per route.
     assert descriptors[0].pipes is descriptors[1].pipes
+
+
+def test_decoding_builds_pipes_the_receiver_never_built(emulations):
+    sender, _ = emulations
+    receiver = _emulation()
+    assert receiver.pipes.num_built == 0
+    _, decoded = _round_trip(_mail(sender), receiver)
+    pipes = decoded[0].payload.pipes
+    assert [pipe.id for pipe in pipes] == [3, 4, 5, 6]
+    assert receiver.pipes.built() == list(pipes)
+    for got in pipes:
+        sent = sender.pipes.by_id(got.id)
+        assert (got.link_id, got.src_node, got.dst_node, got.owner) == (
+            sent.link_id, sent.src_node, sent.dst_node, sent.owner
+        )
 
 
 def test_a_frame_names_no_emulator_class(emulations):

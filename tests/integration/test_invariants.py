@@ -144,7 +144,7 @@ def test_emulation_packet_conservation(seed, cores):
         )
     sim.run(until=5.0)
     monitor = emulation.monitor
-    in_pipes = sum(pipe.in_flight for pipe in emulation.pipes.values())
+    in_pipes = sum(pipe.in_flight for pipe in emulation.pipes.built())
     assert in_pipes == 0  # long drained
     accounted = (
         monitor.packets_delivered

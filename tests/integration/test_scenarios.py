@@ -115,7 +115,7 @@ def test_cross_traffic_and_faults_compose():
     # After both perturbations clear, foreground pipes are restored.
     for src, dst, _bps in matrix.pairs():
         for pipe in emulation.lookup_pipes(src, dst):
-            baseline = model._baseline[pipe.id]
+            baseline = model._baseline_of(pipe.id)
             assert pipe.bandwidth_bps == pytest.approx(baseline[0])
 
 

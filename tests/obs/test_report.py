@@ -75,7 +75,8 @@ def test_live_registry_arms_timing_hooks():
 
 def test_null_registry_leaves_hot_paths_unarmed():
     emulation, _ = _run_emulation(registry=None)
-    assert all(pipe._timer is None for pipe in emulation.pipes.values())
+    assert emulation.pipes.built()
+    assert all(pipe._timer is None for pipe in emulation.pipes.built())
     assert all(
         core.scheduler.collect_timer is None for core in emulation.cores
     )

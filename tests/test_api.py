@@ -42,8 +42,8 @@ def test_scenario_matches_hand_wired_emulation():
     assert facade.monitor.packets_entered == hand.monitor.packets_entered
     assert facade.monitor.packets_delivered == hand.monitor.packets_delivered
     assert facade.virtual_drops() == hand.virtual_drops()
-    assert sum(p.arrivals for p in facade.pipes.values()) == sum(
-        p.arrivals for p in hand.pipes.values()
+    assert sum(p.arrivals for p in facade.pipes.built()) == sum(
+        p.arrivals for p in hand.pipes.built()
     )
     assert report.metric("accuracy.packets_delivered") == (
         hand.monitor.packets_delivered
@@ -136,7 +136,7 @@ def test_scenario_observe_false_uses_null_registry():
     report = scenario.run(until=1.0)
     emulation = scenario.emulation
     assert not emulation.obs.enabled
-    assert all(p._timer is None for p in emulation.pipes.values())
+    assert all(p._timer is None for p in emulation.pipes.built())
     # Pull-collected metrics are still in the report.
     assert report.metric("pipe.arrivals") > 0
     assert report.metric("pipe.enqueue_s") is None
