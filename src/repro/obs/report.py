@@ -187,6 +187,10 @@ class RunStats:
         # -- pipes: drop taxonomy and occupancy (Figs. 8-10 inputs) -----
         # Counters live on built pipes only; a pipe not built yet has
         # seen no packet. ``pipe.count`` is the logical count.
+        # ``pipe.built`` counts the pipes a packet reached, not every
+        # built one: a route lookup builds its whole route in the
+        # ingress domain's process, so which other pipes exist depends
+        # on the backend.
         arrivals = departures = batch_departures = overflow = random_ = down = 0
         bytes_accepted = bytes_through = in_flight = backlog = peak = 0
         owned_cores = [core.domain_id in owned for core in emulation.cores]
@@ -210,7 +214,7 @@ class RunStats:
             "pipe.count",
             sum(owned_cores[owner] for owner in emulation.pipes.owners()),
         )
-        put("pipe.built", len(pipes))
+        put("pipe.built", sum(pipe.arrivals > 0 for pipe in pipes))
         put("pipe.arrivals", arrivals)
         put("pipe.departures", departures)
         put("pipe.batch_departures", batch_departures)

@@ -81,7 +81,7 @@ def test_built_on_first_use_equals_eager():
     reference = eager_pipes(
         emulation.topology.links.values(), emulation.assignment.link_to_core
     )
-    assert table.num_built == 0
+    assert not table.built()
     assert len(table) == len(reference) == 2 * emulation.topology.num_links
     assert {pipe.owner for pipe in reference} == {0, 1}
     assert any(not pipe.up for pipe in reference)
@@ -91,7 +91,7 @@ def test_built_on_first_use_equals_eager():
         # The spec is the pipe before its build: every field but the qdisc.
         assert tuple(table.initial(expected.id)) == state[:8] + state[9:]
         assert _state(table.by_id(expected.id)) == state
-    assert table.num_built == len(reference)
+    assert len(table.built()) == len(reference)
     assert table.built() == [table.by_id(i) for i in range(len(table))]
 
 
@@ -122,6 +122,9 @@ def test_by_id_round_trips_every_id():
         table.by_id(-1)
     with pytest.raises(IndexError):
         table.by_id(len(table))
+    # No link has id -1: it must not wrap round to the last link.
+    with pytest.raises(KeyError):
+        table.pipe(-1, 0)
 
 
 def test_sparse_link_ids_keep_rank_order():
@@ -151,7 +154,7 @@ def test_reads_of_logical_structure_build_nothing():
     table = emulation.pipes
     # The build derived the lookahead matrix from every pipe.
     assert emulation.num_domains == 2
-    assert table.num_built == 0
+    assert not table.built()
     links = sorted(emulation.topology.links)
     emulation.install_fault_plan(
         FaultPlan.of(
@@ -165,7 +168,7 @@ def test_reads_of_logical_structure_build_nothing():
     stats = RunStats.gather(emulation)
     report = build_report(emulation)
     assert emulation.fault_applier.link_state()
-    assert table.num_built == 0
+    assert not table.built()
     assert stats.metrics.get("pipe.count").value == len(table)
     assert report.metric("pipe.built") == 0
     assert report.topology["pipes"] == len(table) == 2 * len(links)
@@ -183,7 +186,7 @@ def test_reverse_pipe_built_after_migration_keeps_bind_time_owner():
     assert emulation.pod._link_to_core[link_id] == 1 - bind_owner
     assert emulation.assignment.link_to_core[link_id] == 1 - bind_owner
     # ...the reverse direction, built only now, does not.
-    assert table.num_built == 1
+    assert len(table.built()) == 1
     assert table.pipe(link_id, 1).owner == bind_owner
     assert forward.owner == 1 - bind_owner
 
@@ -209,14 +212,14 @@ def test_mutators_build_the_pipes_they_change():
     emulation.set_link_params(link_id, latency_s=0.05)
     emulation.set_link_up(link_id, False)
     table = emulation.pipes
-    assert table.num_built == 2
+    assert len(table.built()) == 2
     for direction in (0, 1):
         pipe = table.pipe(link_id, direction)
         assert (pipe.latency_s, pipe.up) == (0.05, False)
         assert table.peek(pipe.id) is pipe
     untouched = table.peek(table.pipe_id(sorted(emulation.topology.links)[0], 0))
     assert not isinstance(untouched, Pipe)
-    assert table.num_built == 2
+    assert len(table.built()) == 2
 
 
 def test_paper_scale_end_to_end_build_makes_no_pipe():
@@ -231,7 +234,7 @@ def test_paper_scale_end_to_end_build_makes_no_pipe():
     scenario.build()
     emulation = scenario.emulation
     report = build_report(emulation)
-    assert emulation.pipes.num_built == 0
+    assert not emulation.pipes.built()
     assert report.topology["pipes"] == 159_600
     assert report.metric("pipe.count") == 159_600
     assert report.metric("pipe.built") == 0

@@ -144,7 +144,7 @@ def test_decoded_pipes_are_the_receivers_own(emulations):
 def test_decoding_builds_pipes_the_receiver_never_built(emulations):
     sender, _ = emulations
     receiver = _emulation()
-    assert receiver.pipes.num_built == 0
+    assert not receiver.pipes.built()
     _, decoded = _round_trip(_mail(sender), receiver)
     pipes = decoded[0].payload.pipes
     assert [pipe.id for pipe in pipes] == [3, 4, 5, 6]

@@ -72,6 +72,23 @@ def _comparable(metrics):
     }
 
 
+def _assert_merged_report_matches(multi, serial):
+    """A multiprocess report is the serial-partitioned report: the same
+    metric keys with the same values, save the named exceptions.
+    Returns the multiprocess report's compared metrics."""
+    assert multi.config["backend"] == "multiprocess"
+    assert multi.topology == serial.topology
+    expected = _comparable(serial.metrics)
+    merged = _comparable(multi.metrics)
+    assert merged.keys() == expected.keys()
+    for key, value in expected.items():
+        if key.split("{", 1)[0] in _WALL_CLOCK_TIMERS:
+            assert merged[key]["count"] == value["count"], key
+        else:
+            assert merged[key] == value, key
+    return merged
+
+
 def _digest(scenario, until=UNTIL):
     scenario.build()
     sanitizer = SimSanitizer().attach(scenario.sim)
@@ -212,21 +229,28 @@ class TestMultiprocess:
         exceptions."""
         serial = _ring8x2(fault_plan).run(until=0.2)
         multi = _ring8x2(fault_plan, "multiprocess", workers).run(until=0.2)
-        assert multi.config["backend"] == "multiprocess"
         assert multi.virtual_time_s == serial.virtual_time_s == 0.2
         assert multi.fault_events == serial.fault_events
         assert bool(multi.fault_events) == (fault_plan is not None)
-        assert multi.topology == serial.topology
-        expected = _comparable(serial.metrics)
-        merged = _comparable(multi.metrics)
-        assert merged.keys() == expected.keys()
-        for key, value in expected.items():
-            if key.split("{", 1)[0] in _WALL_CLOCK_TIMERS:
-                assert merged[key]["count"] == value["count"], key
-            else:
-                assert merged[key] == value, key
+        merged = _assert_merged_report_matches(multi, serial)
         assert merged["tcp.connections"] > 0
         assert merged["engine.messages_routed"] > 0
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_run_ending_mid_route_merges_worker_stats(self, workers):
+        """Every flow starts just before the run ends, so descriptors
+        are still in flight on routes that cross domains. The ingress
+        process built those whole routes; other processes built only
+        what reached them. The pipe gauges must not tell the backends
+        apart."""
+        scenario = _ring8x2()
+        serial = scenario.run(until=0.001)
+        multi = _ring8x2(None, "multiprocess", workers).run(until=0.001)
+        merged = _assert_merged_report_matches(multi, serial)
+        assert merged["engine.messages_routed"] > 0
+        # Some built pipes no packet reached yet: the case in question.
+        built = len(scenario.emulation.pipes.built())
+        assert 0 < merged["pipe.built"] < built
 
     def test_default_worker_count_is_capped_by_cpu_count(self):
         """workers=0 must not oversubscribe the machine: more workers
