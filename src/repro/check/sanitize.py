@@ -2,12 +2,13 @@
 
 The static pass (:mod:`repro.check.lint`) catches the *patterns* that
 break determinism; this module catches the *fact* of it. A
-:class:`SimSanitizer` hooks a :class:`~repro.engine.simulator.Simulator`'s
-dispatch path and records, per fired event, a
+:class:`SimSanitizer` hooks one :class:`DomainProbe` on each event
+domain of a simulator and records, per fired event, a
 :class:`DispatchRecord` of ``(virtual time, heap sequence number,
-callsite)`` folded into a streaming SHA-256. Running the same seeded
-scenario twice and comparing digests answers the only question that
-matters — "same seed, same trace?" — and when the answer is no,
+callsite)`` folded into that domain's streaming SHA-256. Running the
+same seeded scenario twice and comparing digests answers the only
+question that matters — "same seed, same trace?" — and when the
+answer is no,
 :func:`compare_runs` diffs the two record streams to pinpoint the
 **first divergent event** (and whether the divergence is merely a
 same-timestamp tie-order flip, the classic symptom of iterating an
@@ -28,7 +29,11 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, NamedTuple, Optional
 
-from repro.engine.domain import compose_domain_digests, diff_domain_digests  # noqa: F401
+from repro.engine.domain import (  # noqa: F401
+    compose_domain_digests,
+    diff_domain_digests,
+    run_digest,
+)
 from repro.engine.simulator import Event, Simulator
 
 
@@ -113,11 +118,8 @@ class SimSanitizer:
     """
 
     def __init__(self, freeze_packets: bool = False):
-        self.records: List[DispatchRecord] = []
-        self.dispatched = 0
-        self._hash = hashlib.sha256()
         self._sim: Optional[Simulator] = None
-        self._probes: Optional[List[DomainProbe]] = None
+        self._probes: List[DomainProbe] = []
         self._freeze_packets = freeze_packets
         self._frozen_ids: set = set()
         self._freeze_undo: Optional[Callable[[], None]] = None
@@ -125,52 +127,29 @@ class SimSanitizer:
     # -- lifecycle ------------------------------------------------------
 
     def attach(self, sim) -> "SimSanitizer":
-        """Install the dispatch hook (chains with any existing one).
-
-        A partitioned simulator (anything exposing ``domains`` with
-        more than one) gets one :class:`DomainProbe` per domain and a
-        *composed* digest, so its identity is comparable with a
+        """Hook one :class:`DomainProbe` on every event domain of
+        ``sim`` (chaining with any existing hook): the domains of a
+        partitioned simulator, or the simulator itself. The digest is
+        :func:`~repro.engine.domain.run_digest` of the per-domain
+        digests, so a partitioned identity is comparable with a
         multiprocess run of the same scenario.
         """
         if self._sim is not None:
             raise RuntimeError("sanitizer is already attached")
         self._sim = sim
-        domains = getattr(sim, "domains", None)
-        if domains is not None and len(domains) > 1:
-            self._probes = [
-                DomainProbe(domain.domain_id).attach(domain)
-                for domain in domains
-            ]
-        else:
-            previous = sim.on_dispatch
-
-            def hook(event: Event, fn: Callable) -> None:
-                if previous is not None:
-                    previous(event, fn)
-                self._observe(event, fn)
-
-            sim.on_dispatch = hook
+        domains = getattr(sim, "domains", None) or [sim]
+        self._probes = [
+            DomainProbe(domain.domain_id).attach(domain) for domain in domains
+        ]
         if self._freeze_packets:
             self._install_freeze()
         return self
 
     def detach(self) -> None:
         """Remove hooks; recorded data stays readable."""
-        if self._probes is not None:
+        if self._sim is not None:
             for probe in self._probes:
                 probe.detach()
-            # Materialize the merged view (domain-id order): records
-            # for diffing, the total for summaries. The digest stays
-            # the composition of the per-domain hashes.
-            self.records = [
-                record
-                for probe in self._probes
-                for record in probe.records
-            ]
-            self.dispatched = sum(probe.count for probe in self._probes)
-            self._sim = None
-        elif self._sim is not None:
-            self._sim.on_dispatch = None
             self._sim = None
         if self._freeze_undo is not None:
             self._freeze_undo()
@@ -178,35 +157,28 @@ class SimSanitizer:
 
     # -- recording ------------------------------------------------------
 
-    def _observe(self, event: Event, fn: Callable) -> None:
-        callsite = _callsite(fn)
-        self._hash.update(struct.pack("<dq", event.time, event.seq))
-        self._hash.update(callsite.encode())
-        self.records.append(DispatchRecord(event.time, event.seq, callsite))
-        self.dispatched += 1
+    @property
+    def records(self) -> List[DispatchRecord]:
+        """Every recorded dispatch, domain by domain in id order."""
+        return [record for probe in self._probes for record in probe.records]
 
-    def domain_digests(self) -> Optional[dict]:
-        """Per-domain digests of a partitioned attach (else None)."""
-        if self._probes is None:
-            return None
+    @property
+    def dispatched(self) -> int:
+        return sum(probe.count for probe in self._probes)
+
+    def domain_digests(self) -> dict:
+        """``{domain_id: hexdigest}`` of the probed domains."""
         return {probe.domain_id: probe.hexdigest() for probe in self._probes}
 
-    def domain_counts(self) -> Optional[dict]:
-        """Per-domain event counts of a partitioned attach (else None)."""
-        if self._probes is None:
-            return None
+    def domain_counts(self) -> dict:
+        """``{domain_id: events}`` of the probed domains."""
         return {probe.domain_id: probe.count for probe in self._probes}
 
     @property
     def digest(self) -> str:
-        """Streaming SHA-256 over every record so far (hex). For a
-        partitioned simulator this is the composed per-domain digest
-        (:func:`compose_domain_digests`)."""
-        if self._probes is not None:
-            return compose_domain_digests(
-                {probe.domain_id: probe.hexdigest() for probe in self._probes}
-            )
-        return self._hash.hexdigest()
+        """The run's digest (hex): one domain's own digest, or the
+        composition of the per-domain digests (:func:`run_digest`)."""
+        return run_digest(self.domain_digests())
 
     # -- packet freezing -------------------------------------------------
 

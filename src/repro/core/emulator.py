@@ -35,7 +35,6 @@ from repro.core.bind import Binding
 from repro.core.monitor import EmulationMonitor
 from repro.core.node import CoreNode
 from repro.core.pipe import Pipe
-from repro.core.pod import PipeOwnershipDirectory
 from repro.core.queues import DROP_TAIL, REDQueue
 from repro.engine.randomness import RngRegistry
 from repro.engine.simulator import Simulator
@@ -466,10 +465,9 @@ class Emulation:
         self.obs: MetricsRegistry = registry if registry is not None else NULL_REGISTRY
         self._route_timer = None
 
-        # --- assignment, POD, and pipes (one per link direction) -------------
+        # --- assignment and pipes (one per link direction) ------------------
         self.assignment = assignment
         num_cores = assignment.num_cores
-        self.pod = PipeOwnershipDirectory(assignment)
         self.pipes = PipeTable(topology.links.values(), assignment.link_to_core)
 
         # --- core -> domain map --------------------------------------------
@@ -824,8 +822,10 @@ class Emulation:
     def set_link_params(self, link_id: int, **params) -> None:
         """Adjust both directions of a link's pipes at runtime.
 
-        Unknown parameter names raise :class:`ValueError` before
-        either pipe is touched."""
+        A rejected call (an unknown name or a bad value) raises
+        :class:`ValueError` before either pipe changes: both pipes
+        take the same values, and :meth:`Pipe.set_params` checks them
+        all before assigning any."""
         unknown = set(params) - set(Pipe.PARAM_NAMES)
         if unknown:
             raise ValueError(

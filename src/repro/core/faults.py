@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.emulator import Emulation
+from repro.engine.domain import INFINITY
 from repro.faults import (
     FaultPlan,
     FaultPlanError,
@@ -33,16 +34,15 @@ class FaultApplier:
     """The single sanctioned applier for a declarative
     :class:`repro.faults.FaultPlan`.
 
-    On a single-domain kernel the timeline is scheduled event-by-event
-    at exact virtual times: one-shot occurrences in timeline order,
-    recurring perturbations through a fire/reschedule closure. On a
-    partitioned kernel — serial *or* multiprocess, any worker count —
-    application is epoch-barrier aligned: the engine calls
-    :meth:`apply_until` with the epoch's minimum grant horizon before
-    dispatching the epoch, and every participant (the serial loop, and
-    every worker process) applies the same occurrences at the same
-    barriers, keeping the per-process pipe/routing state — and
-    therefore the dispatched event stream — byte-identical.
+    The plan is lowered once to a sorted occurrence list, the only
+    fault schedule. :meth:`install` hands it to the simulator's run
+    loop, which stops at each occurrence time *t* and calls
+    :meth:`apply_until`: the occurrence is applied after every event
+    before *t* and before any event at or after *t*, once per process,
+    on every backend — a single domain, the serial epoch loop and
+    every multiprocess worker (which apply the same occurrences at the
+    same barrier, keeping per-process pipe and routing state, and so
+    the event stream, identical).
 
     All stochastic draws come from the plan's named RNG stream, in
     timeline order, so the draw sequence is backend-invariant.
@@ -67,16 +67,14 @@ class FaultApplier:
         self.events_log: List[dict] = []
         self._occurrences = self._lower()
         self._cursor = 0
-        self._installed = False
 
     # -- lowering ----------------------------------------------------------
 
     def _lower(self) -> List[Tuple[float, int, int, tuple]]:
         """Flatten the plan into ``(time, plan_position, sub, action)``
-        occurrences sorted by time (ties: plan order). Recurring
-        perturbations expand with the same float accumulation as the
-        single-domain fire/reschedule closure, so firing times are
-        bit-identical on every backend."""
+        occurrences sorted by time (ties: plan order). A recurring
+        perturbation expands to its firings, ``start_s`` plus
+        ``period_s`` accumulated in float, and a final restore."""
         occurrences: List[Tuple[float, int, int, tuple]] = []
         for position, event in enumerate(self.plan.events):
             if isinstance(event, LinkDown):
@@ -139,57 +137,37 @@ class FaultApplier:
                 touched.update(action[2])
         return sorted(touched)
 
-    # -- installation ------------------------------------------------------
+    def churned_links(self) -> List[int]:
+        """Every link id the timeline can take down or bring up,
+        sorted (perturbations, restores and parameter changes never
+        change a link's up-flag)."""
+        return sorted({
+            link_id
+            for _, _, _, action in self._occurrences
+            if action[0] in ("down", "up")
+            for link_id in action[1]
+        })
+
+    # -- the schedule ------------------------------------------------------
 
     def install(self) -> "FaultApplier":
-        """Arm the timeline on the emulation's kernel. Partitioned
-        kernels get the barrier hook; a single-domain kernel gets
-        exact-time scheduling."""
-        if self._installed:
-            raise FaultPlanError("fault plan already installed")
-        self._installed = True
+        """Hand the timeline to the emulation's simulator, whose run
+        loop stops at :meth:`next_time` and calls :meth:`apply_until`."""
         sim = self.emulation.sim
-        if self.emulation.num_domains > 1 and hasattr(sim, "fault_hook"):
-            sim.fault_hook = self.apply_until
-        else:
-            self._schedule_exact(sim)
+        if sim.fault_timeline is not None:
+            raise FaultPlanError("fault plan already installed")
+        sim.fault_timeline = self
         return self
 
-    def _schedule_exact(self, sim) -> None:
-        """Single-domain form: one kernel event per one-shot
-        occurrence, and the fire/reschedule closure for recurring
-        perturbations."""
-        scheduled: set = set()
-        for when, position, _, action in self._occurrences:
-            event = self.plan.events[position]
-            if isinstance(event, Perturbation):
-                if position not in scheduled:
-                    scheduled.add(position)
-                    self._schedule_perturbation(sim, event)
-                continue
-            sim.at(when, self._apply_action, action, when)
-
-    def _schedule_perturbation(self, sim, event: Perturbation) -> None:
-        candidates = list(
-            event.link_ids or sorted(self.emulation.topology.links)
-        )
-
-        def fire(when: float) -> None:
-            if when >= event.stop_s:
-                self._apply_action(("restore", tuple(candidates)), when)
-                return
-            self._apply_action(("perturb", event, tuple(candidates)), when)
-            sim.at(when + event.period_s, fire, when + event.period_s)
-
-        sim.at(event.start_s, fire, event.start_s)
-
-    # -- barrier-aligned application --------------------------------------
+    def next_time(self) -> float:
+        """Time of the next unapplied occurrence (inf when none)."""
+        if self._cursor < len(self._occurrences):
+            return self._occurrences[self._cursor][0]
+        return INFINITY
 
     def apply_until(self, until: float) -> None:
         """Apply every not-yet-applied occurrence with time <= until,
-        in timeline order. Called by the partitioned engine at each
-        epoch barrier with the epoch's minimum grant horizon;
-        idempotent for repeated horizons (the cursor only advances)."""
+        in timeline order (the cursor only advances)."""
         occurrences = self._occurrences
         while self._cursor < len(occurrences):
             when, _, _, action = occurrences[self._cursor]

@@ -254,30 +254,32 @@ class Pipe:
                 f"unknown pipe parameter(s) {sorted(unknown)}; "
                 f"valid knobs: {', '.join(self.PARAM_NAMES)}"
             )
-        bandwidth_bps = params.get("bandwidth_bps")
-        latency_s = params.get("latency_s")
-        loss_rate = params.get("loss_rate")
-        queue_limit = params.get("queue_limit")
+        # Convert and check every value before assigning any, so a
+        # rejected call leaves the pipe as it was.
+        bandwidth_bps, latency_s, loss_rate, queue_limit = (
+            None if params.get(name) is None else kind(params[name])
+            for name, kind in zip(self.PARAM_NAMES, (float, float, float, int))
+        )
+        if bandwidth_bps is not None and bandwidth_bps <= 0:
+            raise ValueError("bandwidth must be positive")
+        if latency_s is not None and latency_s < 0:
+            raise ValueError("latency must be >= 0")
+        if loss_rate is not None and not 0.0 <= loss_rate < 1.0:
+            raise ValueError("loss rate must be in [0, 1)")
+        if queue_limit is not None and queue_limit < 1:
+            raise ValueError("queue limit must be >= 1")
         if bandwidth_bps is not None:
-            if bandwidth_bps <= 0:
-                raise ValueError("bandwidth must be positive")
-            if float(bandwidth_bps) != self.bandwidth_bps:
+            if bandwidth_bps != self.bandwidth_bps:
                 # New bandwidth generation: drop the memoized
                 # per-size transmission times.
                 self._tx_cache.clear()
-            self.bandwidth_bps = float(bandwidth_bps)
+            self.bandwidth_bps = bandwidth_bps
         if latency_s is not None:
-            if latency_s < 0:
-                raise ValueError("latency must be >= 0")
-            self.latency_s = float(latency_s)
+            self.latency_s = latency_s
         if loss_rate is not None:
-            if not 0.0 <= loss_rate < 1.0:
-                raise ValueError("loss rate must be in [0, 1)")
-            self.loss_rate = float(loss_rate)
+            self.loss_rate = loss_rate
         if queue_limit is not None:
-            if queue_limit < 1:
-                raise ValueError("queue limit must be >= 1")
-            self.queue_limit = int(queue_limit)
+            self.queue_limit = queue_limit
 
     def __repr__(self) -> str:
         return (

@@ -153,8 +153,8 @@ class DynamicReassigner:
         """Move ownership; future descriptors route to the new core.
 
         Each direction of a link migrates independently (the two
-        pipes are independent emulation objects); the bookkeeping
-        directories track the forward direction. A busy pipe's
+        pipes are independent emulation objects); the assignment's
+        ``link_to_core`` tracks the forward direction. A busy pipe's
         scheduler residency moves too: the old core's heap entry goes
         stale (lazy deletion) and the new core takes over service.
         """
@@ -169,5 +169,4 @@ class DynamicReassigner:
         core._reschedule_wake()  # repro: allow-unrouted-peer-call
         table = self.emulation.pipes
         forward = table.peek(table.pipe_id(pipe.link_id, 0))
-        self.emulation.pod._link_to_core[pipe.link_id] = forward.owner
         self.emulation.assignment.link_to_core[pipe.link_id] = forward.owner

@@ -110,6 +110,10 @@ class EventDomain:
         #: one local test per event.
         self._digest = None
         self._callsite_cache: dict = {}
+        #: The fault timeline :meth:`run` stops at (a
+        #: :class:`~repro.core.faults.FaultApplier`, installed by it):
+        #: ``next_time()`` and ``apply_until(t)``. None runs straight.
+        self.fault_timeline = None
 
     def enable_digest(self) -> None:
         """Arm the streaming event digest for subsequent runs.
@@ -399,12 +403,26 @@ class EventDomain:
         Events at exactly ``until`` fire. If the run is not stopped,
         the clock is left exactly at ``until`` and a subsequent
         ``run`` continues from there.
+
+        Each :attr:`fault_timeline` occurrence at a time ``t`` no later
+        than ``until`` is applied with the clock at ``t``: after every
+        event before ``t`` and before any event at or after it.
         """
         if until is not None and until < self._now:
             raise SimulationError(
                 f"cannot run until t={until}, already at t={self._now}"
             )
-        self._dispatch(INFINITY if until is None else until, True)
+        limit = INFINITY if until is None else until
+        timeline = self.fault_timeline
+        if timeline is not None:
+            due = timeline.next_time()
+            while due != INFINITY and due <= limit:
+                self._dispatch(due, False)
+                if self._stopped:
+                    return self._now
+                timeline.apply_until(due)
+                due = timeline.next_time()
+        self._dispatch(limit, True)
         return self._now
 
     # ------------------------------------------------------------------

@@ -32,8 +32,9 @@ Determinism, regardless of worker count:
   uses, on the same exchanged effective next-event vector (reported
   heap minima folded with the earliest time of the mail in flight to
   each domain, which equals the post-flush heap minimum the serial
-  executor sees), so all agree on every window and every
-  :func:`~repro.engine.sync.fault_barrier`.
+  executor sees), so all agree on every window, including the windows
+  clipped at a fault occurrence (:func:`~repro.engine.sync.clip_windows`),
+  and apply each occurrence at the same barrier.
 
 Hence the composed per-domain digests of a multiprocess run match the
 serial partitioned run of the same scenario exactly — the property

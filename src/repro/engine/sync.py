@@ -514,27 +514,33 @@ def epoch_windows(
     return windows
 
 
-def fault_barrier(
+def epoch_barrier(
     windows: Sequence[Optional[Tuple[float, bool]]]
 ) -> float:
-    """The horizon up to which fault-timeline occurrences are applied
-    before an epoch dispatches: the epoch's minimum granted horizon,
-    which is also the barrier time both executors report to barrier
-    hooks.
-
-    Every participant — the serial epoch loop and every multiprocess
-    worker — evaluates this on the *same* window list (workers receive
-    the full per-domain list, not just their slice), so barrier-aligned
-    fault application happens at identical points everywhere. Occurrences
-    between this barrier and a wider domain's horizon wait one epoch;
-    that lag is itself deterministic, which is what the digest contract
-    requires.
-    """
+    """The barrier time of an epoch: its minimum granted horizon, the
+    clock every domain has reached once the epoch's windows ran. Both
+    executors report it to barrier hooks, and a fault occurrence is
+    applied at the barrier that equals its time."""
     barrier = INFINITY
     for window in windows:
         if window is not None and window[0] < barrier:
             barrier = window[0]
     return barrier
+
+
+def clip_windows(
+    windows: Sequence[Optional[Tuple[float, bool]]], due: float
+) -> List[Tuple[float, bool]]:
+    """Cut an epoch's windows at a fault occurrence time ``due``
+    (exclusive), so no domain dispatches an event at or after it
+    before the occurrence is applied. A domain with no window gets
+    ``(due, False)``, which only moves its idle clock to ``due``."""
+    clipped: List[Tuple[float, bool]] = []
+    for window in windows:
+        if window is None or window[0] > due or (window[0] == due and window[1]):
+            window = (due, False)
+        clipped.append(window)
+    return clipped
 
 
 class PartitionedSimulator:
@@ -582,15 +588,10 @@ class PartitionedSimulator:
         #: between epochs, outside any domain's dispatch loop), and the
         #: epoch structure is identical whether or not it is set.
         self.on_epoch: Optional[Callable[[int, float], None]] = None
-        #: Barrier-aligned fault application hook ``fn(apply_until)``,
-        #: installed by the sanctioned FaultApplier. Invoked with each
-        #: epoch's minimum grant horizon *before* the epoch's windows
-        #: dispatch, so link mutations land between epochs at a point
-        #: both executors (this serial loop and every multiprocess
-        #: worker, which receives the same window list) compute
-        #: identically — the digest-equality contract for dynamic
-        #: topology. See :func:`fault_barrier`.
-        self.fault_hook: Optional[Callable[[float], None]] = None
+        #: The fault timeline :meth:`run` stops at, as
+        #: :meth:`EventDomain.run` does (installed by the
+        #: :class:`~repro.core.faults.FaultApplier`).
+        self.fault_timeline = None
         self._running = False
         self._stopped = False
 
@@ -752,7 +753,13 @@ class PartitionedSimulator:
         multiprocess worker passes both: its ``sync`` swaps mail and
         next-event times with its peers and returns the same vector
         :meth:`sync` would in one process, so every worker plans the
-        same windows and fault barriers as this loop does serially.
+        same windows as this loop does serially.
+
+        A :attr:`fault_timeline` occurrence at a time ``t`` no later
+        than ``until`` is pending work: every window is clipped to
+        ``(t, exclusive)`` (:func:`clip_windows`) until the epoch whose
+        barrier is ``t``, where every domain has reached ``t``; the
+        occurrence is applied there, before the barrier hook runs.
         """
         if self._running:
             raise SimulationError("simulator is already running")
@@ -768,19 +775,27 @@ class PartitionedSimulator:
         if owned is not None:
             runs = [runs[d] for d in owned]
         matrix = self.matrix
+        timeline = self.fault_timeline
         try:
             while not self._stopped:
                 windows = epoch_windows(sync(), matrix, until)
-                if windows is None:
+                due = INFINITY if timeline is None else timeline.next_time()
+                if until is not None and due > until:
+                    due = INFINITY
+                if due != INFINITY:
+                    windows = clip_windows(
+                        windows or [None] * len(self.domains), due
+                    )
+                elif windows is None:
                     break
-                barrier = fault_barrier(windows)
-                if self.fault_hook is not None:
-                    self.fault_hook(barrier)
                 for d, domain in runs:
                     window = windows[d]
                     if window is not None:
                         domain.run_window(*window)
                 self.epochs += 1
+                barrier = epoch_barrier(windows)
+                if due != INFINITY and barrier == due and not self._stopped:
+                    timeline.apply_until(due)
                 if self.on_epoch is not None:
                     self.on_epoch(self.epochs - 1, barrier)
         finally:

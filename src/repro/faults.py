@@ -10,13 +10,13 @@ are plans too: :func:`random_stress` draws one from a seeded RNG.
 Timeline semantics
 ------------------
 * Times are absolute virtual seconds from the start of the run.
-* On a single-domain kernel, events fire at their exact times.
-* On a partitioned kernel (serial or multiprocess), events are
-  *epoch-barrier aligned*: every participant applies all events whose
-  time falls at or before the next epoch horizon, in timeline order,
-  before dispatching the epoch. Both backends compute identical
-  window sequences, so application points — and therefore the event
-  stream — are byte-identical.
+* On every backend (one domain, the serial epoch loop, every
+  multiprocess worker) an event at time *t* is applied at exactly
+  *t*: after every emulator event before *t* and before any event at
+  or after *t*, once per process, in timeline order. A partitioned run
+  stops every domain's epoch at *t* and applies it at that barrier.
+* An event at or before the run's ``until`` is applied even when
+  traffic has drained before it.
 * ``LinkDown`` flushes in-flight packets on the pipe into the
   ``drops_down`` counter and invalidates routes (dummynet semantics:
   a dead wire loses what was on it).

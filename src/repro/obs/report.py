@@ -282,7 +282,7 @@ class RunStats:
             put("faults.perturbations", applier.perturbations_applied)
             put("faults.applied", applier.applied)
             put("faults.planned", len(applier.plan.events))
-            for link_id in applier.touched_links():
+            for link_id in applier.churned_links():
                 link = emulation.topology.links.get(link_id)
                 if link is not None:
                     put("topology.link_up", 1 if link.up else 0, link=link_id)

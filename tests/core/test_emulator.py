@@ -327,6 +327,15 @@ def test_set_link_params_rejects_unknown_knobs():
     assert fwd.latency_s == before
 
 
+def test_rejected_set_link_params_leaves_both_directions_unchanged():
+    sim, emulation = build(star_topology(2))
+    pipes = emulation.pipes_of_link(0)
+    before = [(p.bandwidth_bps, p.latency_s, p.loss_rate) for p in pipes]
+    with pytest.raises(ValueError, match="latency"):
+        emulation.set_link_params(0, bandwidth_bps=5e6, latency_s=-1)
+    assert [(p.bandwidth_bps, p.latency_s, p.loss_rate) for p in pipes] == before
+
+
 def test_pipe_set_params_rejects_unknown_knobs():
     sim, emulation = build(star_topology(2))
     fwd, _rev = emulation.pipes_of_link(0)

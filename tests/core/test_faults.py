@@ -74,6 +74,22 @@ def test_scheduled_link_failure_and_recovery():
     assert applier.injected == 1
 
 
+def test_occurrence_at_t_is_seen_by_every_event_at_t():
+    sim, emulation = build_square()
+    seen = []
+
+    def probe():
+        seen.append((sim.now, emulation.topology.links[0].up))
+
+    sim.at(1.0, probe)  # scheduled before the plan is installed
+    applier = install(emulation, LinkDown(1.0, 0))
+    sim.at(1.0, probe)
+    sim.at(0.5, probe)
+    sim.run(until=2.0)
+    assert seen == [(0.5, True), (1.0, False), (1.0, False)]
+    assert applier.applied == 1
+
+
 def test_node_failure_fails_incident_links():
     sim, emulation = build_square()
     install(emulation, NodeChurn(1.0, 1), NodeChurn(2.0, 1, up=True))  # router r1

@@ -119,6 +119,15 @@ def test_set_params_validation():
         pipe.set_params(queue_limit=0)
 
 
+def test_rejected_set_params_changes_nothing():
+    pipe = Pipe(0, 1e6, 0.01)
+    with pytest.raises(ValueError, match="latency"):
+        pipe.set_params(bandwidth_bps=5e6, latency_s=-1)
+    with pytest.raises(ValueError, match="queue limit"):
+        pipe.set_params(loss_rate=0.5, queue_limit=0)
+    assert (pipe.bandwidth_bps, pipe.latency_s, pipe.loss_rate) == (1e6, 0.01, 0.0)
+
+
 def test_set_params_affects_new_arrivals_only():
     pipe = make_pipe(bw=1e6, lat=0.0)
     first = make_descriptor(size=1250)

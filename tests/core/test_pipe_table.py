@@ -182,8 +182,7 @@ def test_reverse_pipe_built_after_migration_keeps_bind_time_owner():
     bind_owner = emulation.assignment.link_to_core[link_id]
     forward = table.pipe(link_id, 0)
     DynamicReassigner(emulation)._migrate(forward, 1 - bind_owner)
-    # The live maps follow the migrated forward pipe...
-    assert emulation.pod._link_to_core[link_id] == 1 - bind_owner
+    # The live map follows the migrated forward pipe...
     assert emulation.assignment.link_to_core[link_id] == 1 - bind_owner
     # ...the reverse direction, built only now, does not.
     assert len(table.built()) == 1

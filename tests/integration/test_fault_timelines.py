@@ -4,6 +4,8 @@ and multiprocess backends, at every worker count, and through a
 checkpoint/resume — while surfacing churn as typed drops and
 metrics, never an unhandled error."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.api import Scenario
@@ -25,6 +27,7 @@ from repro.resilience import RunAborted, load_checkpoint
 from repro.topology import dumbbell_topology, ring_topology
 
 UNTIL = 0.02
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 
 def _mixed_plan():
@@ -125,10 +128,86 @@ def test_serial_and_multiprocess_agree_at_every_worker_count():
         assert counters == serial_counters
 
 
+def _record_applications(scenario):
+    """Wrap the built scenario's applier: every occurrence it applies
+    logs ``(time, [each domain's clock], events still pending)``."""
+    applier = scenario.emulation.fault_applier
+    sim = scenario.sim
+    domains = getattr(sim, "domains", None) or [sim]
+    apply_action = applier._apply_action
+    log = []
+
+    def recording(action, when):
+        log.append((
+            when,
+            [domain.now for domain in domains],
+            min(domain.next_event_time() for domain in domains),
+        ))
+        apply_action(action, when)
+
+    applier._apply_action = recording
+    return log
+
+
+@pytest.mark.parametrize("domains", [1, 2, 4])
+def test_every_domain_applies_each_occurrence_at_its_exact_time(domains):
+    plan = FaultPlan.from_json_file(str(EXAMPLES / "faultplan.json"))
+    scenario = (
+        Scenario.from_gml(str(EXAMPLES / "ring8x2.gml"))
+        .distill("hop-by-hop")
+        .assign(4)
+        .netperf(flows=8)
+        .seed(1)
+        .observe(True)
+        .backend("serial", domains=domains)
+        .faults(plan)
+    )
+    scenario.build()
+    log = _record_applications(scenario)
+    report = scenario.run(until=0.2)
+    # 9 occurrences: down, up, set, partition, heal, 3 perturbations
+    # (t = 0.02, 0.07, 0.12) and the restore at 0.17.
+    assert report.metrics["faults.applied"] == len(log) == 9
+    for when, clocks, _ in log:
+        assert clocks == [when] * domains
+
+
+def _tail_scenario(backend, domains, workers=None):
+    return (
+        Scenario(ring_topology(num_routers=8, vns_per_router=2), name="tail")
+        .distill("hop-by-hop")
+        .assign(4)
+        .seed(1)
+        .workload("cfs", clients=1, file_bytes=20_000)
+        .observe(True)
+        .backend(backend, domains=domains, workers=workers)
+        .faults(FaultPlan.of(LinkDown(0.45, 0)))
+    )
+
+
+@pytest.mark.parametrize("domains", [1, 4])
+def test_occurrence_after_the_last_traffic_event_is_applied(domains):
+    """Traffic (one small CFS download) drains long before the
+    occurrence at 0.45 s; a run to 0.5 s still applies it."""
+    scenario = _tail_scenario("serial", domains)
+    scenario.build()
+    log = _record_applications(scenario)
+    report = scenario.run(until=0.5)
+    assert [(when, pending) for when, _, pending in log] == [(0.45, float("inf"))]
+    assert report.metrics["faults.applied"] == 1
+    assert report.metrics["topology.link_up{link=0}"] == 0
+
+
+def test_occurrence_after_the_last_traffic_event_is_applied_multiprocess():
+    report = _tail_scenario("multiprocess", 4, workers=2).run(until=0.5)
+    assert report.metrics["faults.applied"] == 1
+    assert report.metrics["topology.link_up{link=0}"] == 0
+
+
 def test_flapping_storm_is_digest_invariant_across_backends():
     """Rapid down/up flaps spaced well below the ~2 ms cross-domain
-    lookahead: occurrences land mid-epoch and must still apply at the
-    same barriers on the serial and multiprocess backends."""
+    lookahead: each one cuts an epoch short and must apply at the same
+    point on the serial and multiprocess backends."""
     flaps = []
     when = 0.0050
     for _ in range(10):
@@ -149,7 +228,7 @@ def test_flapping_storm_is_digest_invariant_across_backends():
 def test_in_flight_packets_on_failed_pipe_drop_deterministically():
     """Killing a loaded link mid-run flushes its pipes: the in-flight
     packets become typed ``drops_down``, identically on serial and
-    multiprocess (the epoch barrier aligns the flush point)."""
+    multiprocess (the flush happens at the occurrence's exact time)."""
     plan = FaultPlan.of(LinkDown(0.010, 0))
     serial = _ring_scenario(plan=plan).observe(True)
     report = serial.run(until=UNTIL)
@@ -269,6 +348,24 @@ def test_fault_counters_gauges_and_events_in_report():
     assert {"link_down", "link_up", "set_link_params", "perturbation"} <= kinds
     round_tripped = type(report).from_json(report.to_json())
     assert round_tripped.fault_events == report.fault_events
+
+
+def test_link_up_gauges_only_for_links_the_plan_takes_down_or_up():
+    report = _ring_scenario().observe(True).run(until=UNTIL)
+    gauged = {
+        name for name in report.metrics if name.startswith("topology.link_up")
+    }
+    assert gauged == {"topology.link_up{link=0}", "topology.link_up{link=2}"}
+    perturbed = {
+        link
+        for event in report.fault_events
+        if event["kind"] == "perturbation"
+        for link in event["links"]
+    }
+    only_perturbed = perturbed - {0, 2}
+    assert only_perturbed
+    for link in only_perturbed | {1}:  # link 1: SetLinkParams only
+        assert f"topology.link_up{{link={link}}}" not in report.metrics
 
 
 def test_multiprocess_report_carries_worker_fault_counters():
