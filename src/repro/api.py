@@ -693,8 +693,13 @@ class Scenario:
             return report
         if result is None:
             digests, counts = self._local_digests()
+            outcomes = {
+                d.domain_id: d.outcome_hexdigest() for d in self._domains()
+            }
         else:
-            digests, counts = result.domain_digests, result.domain_digest_events
+            digests = result.domain_digests
+            counts = result.domain_digest_events
+            outcomes = result.domain_outcomes
         # Supervised: outcome, identity and every resilience counter —
         # present (zero-valued if idle), so partial reports are
         # machine-checkable.
@@ -706,6 +711,7 @@ class Scenario:
         else:
             metrics["run.outcome"] = "completed"
         metrics["run.digest"] = run_digest(digests)
+        metrics["run.outcome_digest"] = run_digest(outcomes)
         metrics["run.events"] = sum(counts.values())
         for name in ("heartbeats_missed", "workers_restarted", "retries"):
             metrics[f"resilience.{name}"] = (

@@ -69,6 +69,10 @@ class DomainProbe:
     the serial epoch loop and the multiprocess workers dispatch each
     domain's events identically, and per-domain digests are blind to
     how domains were interleaved around them.
+
+    Attaching also arms the domain's outcome digest
+    (:meth:`~repro.engine.domain.EventDomain.enable_outcome_digest`),
+    which the probe keeps readable after :meth:`detach`.
     """
 
     def __init__(self, domain_id: int):
@@ -77,6 +81,8 @@ class DomainProbe:
         self._hash = hashlib.sha256()
         self.records: List[DispatchRecord] = []
         self._domain = None
+        self._previous = None
+        self._outcomes = None
 
     def attach(self, domain) -> "DomainProbe":
         previous = domain.on_dispatch
@@ -87,13 +93,17 @@ class DomainProbe:
             self.observe(event, fn)
 
         domain.on_dispatch = hook
+        domain.enable_outcome_digest()
         self._domain = domain
+        self._previous = previous
+        self._outcomes = domain.outcomes
         return self
 
     def detach(self) -> None:
+        """Restore the hook this probe chained at :meth:`attach`."""
         if self._domain is not None:
-            self._domain.on_dispatch = None
-            self._domain = None
+            self._domain.on_dispatch = self._previous
+            self._domain = self._previous = None
 
     def observe(self, event: Event, fn: Callable) -> None:
         callsite = _callsite(fn)
@@ -104,6 +114,10 @@ class DomainProbe:
 
     def hexdigest(self) -> str:
         return self._hash.hexdigest()
+
+    def outcome_hexdigest(self) -> Optional[str]:
+        outcomes = self._outcomes
+        return None if outcomes is None else outcomes.hexdigest()
 
 
 class SimSanitizer:
@@ -179,6 +193,13 @@ class SimSanitizer:
         """The run's digest (hex): one domain's own digest, or the
         composition of the per-domain digests (:func:`run_digest`)."""
         return run_digest(self.domain_digests())
+
+    @property
+    def outcome_digest(self) -> str:
+        """The run's outcome digest, composed like :attr:`digest`."""
+        return run_digest(
+            {probe.domain_id: probe.outcome_hexdigest() for probe in self._probes}
+        )
 
     # -- packet freezing -------------------------------------------------
 
@@ -262,10 +283,12 @@ class SanitizeResult:
     digests: List[str] = field(default_factory=list)
     events: List[int] = field(default_factory=list)
     divergence: Optional[Divergence] = None
+    #: Outcome digests, one per run (:mod:`repro.core.monitor`).
+    outcomes: List[str] = field(default_factory=list)
 
     @property
     def identical(self) -> bool:
-        return len(set(self.digests)) <= 1
+        return len(set(self.digests)) <= 1 and len(set(self.outcomes)) <= 1
 
     def summary(self) -> str:
         label = "all runs" if self.seed is None else f"seed {self.seed}"
@@ -273,7 +296,8 @@ class SanitizeResult:
             return (
                 f"{label}: OK — {len(self.digests)} runs, "
                 f"{self.events[0] if self.events else 0} events, "
-                f"digest {self.digests[0][:16] if self.digests else '-'}"
+                f"digest {self.digests[0][:16] if self.digests else '-'}, "
+                f"outcome {self.outcomes[0][:16] if self.outcomes else '-'}"
             )
         head = f"{label}: NONDETERMINISTIC — digests differ"
         if self.divergence is not None:
@@ -353,6 +377,7 @@ def compare_runs(
         finally:
             sanitizer.detach()
         result.digests.append(sanitizer.digest)
+        result.outcomes.append(sanitizer.outcome_digest)
         result.events.append(sanitizer.dispatched)
         traces.append(sanitizer.records)
     if not result.identical:
@@ -426,6 +451,7 @@ def sanitize_scenario_multiprocess(
         scenario.build()
         mp = run_multiprocess(scenario, until=until, workers=workers)
         result.digests.append(mp.composed_digest)
+        result.outcomes.append(mp.composed_outcome)
         result.events.append(
             sum(mp.domain_digest_events.values())
         )

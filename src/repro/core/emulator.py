@@ -32,7 +32,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from repro.core.assign import Assignment
 from repro.core.bind import Binding
-from repro.core.monitor import EmulationMonitor
+from repro.core.monitor import DROP_UPLINK, EmulationMonitor, record_outcome
 from repro.core.node import CoreNode
 from repro.core.pipe import Pipe
 from repro.core.queues import DROP_TAIL, REDQueue
@@ -234,7 +234,7 @@ class EdgeHost:
             packet.size_bytes, self._reach_core, packet
         )
         if not accepted:
-            self.emulation.monitor.uplink_drop()
+            self._uplink_drop(packet)
 
     def _reach_core(self, packet: Packet) -> None:
         if self.core.ingress_link is not None:
@@ -242,9 +242,15 @@ class EdgeHost:
                 packet.size_bytes, self.core.ingress_packet, packet
             )
             if not accepted:
-                self.emulation.monitor.uplink_drop()
+                self._uplink_drop(packet)
         else:
             self.core.ingress_packet(packet)
+
+    def _uplink_drop(self, packet: Packet) -> None:
+        """A wire toward the core refused ``packet``: a physical drop."""
+        self.emulation.monitor.uplink_drop()
+        if self.sim.outcomes is not None:
+            record_outcome(self.sim.outcomes, DROP_UPLINK, packet)
 
     def receive_from_switch(self, packet: Packet) -> None:
         """A packet exiting the emulated network arrives on our wire."""
@@ -843,7 +849,9 @@ class Emulation:
         for pipe in self.pipes_of_link(link_id):
             pipe.up = up
             if not up:
-                pipe.flush()
+                # The owner's domain records the packets the link takes
+                # with it.
+                pipe.flush(self.cores[pipe.owner].sim.outcomes)
         if up:
             self.routing.link_recovered(link)
         else:

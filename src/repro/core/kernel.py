@@ -30,13 +30,16 @@ The contract:
     Scheduler-facing: read once per offer and per serviced pipe.
 ``bw_len`` / ``dl_len``
     Occupancy counts (drop-tail admission reads ``bw_len``).
-``flush() -> int``
-    Release every queued descriptor; returns the number lost.
+``flush(outcomes=None) -> int``
+    Release every queued descriptor (folding each into ``outcomes``,
+    an armed outcome digest, as a down drop); returns the number lost.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
+
+from repro.core.monitor import DROP_DOWN, record_outcome
 
 INFINITY = float("inf")
 
@@ -114,11 +117,14 @@ class DelayLine:
         self.head_deadline = head
         return exits, through
 
-    def flush(self) -> int:
+    def flush(self, outcomes=None) -> int:
         lost = self.bw_len + self.dl_len
         for rows, head in ((self._bw, self._bw_head), (self._dl, self._dl_head)):
             for index in range(head, len(rows)):
-                rows[index][0].release()
+                descriptor = rows[index][0]
+                if outcomes is not None:
+                    record_outcome(outcomes, DROP_DOWN, descriptor.packet)
+                descriptor.release()
             rows.clear()
         self._bw_head = self._dl_head = 0
         self.head_deadline = INFINITY

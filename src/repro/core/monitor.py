@@ -6,12 +6,63 @@ a ModelNet run is proportional to the number of physical packets
 dropped". :class:`EmulationMonitor` aggregates both: per-packet
 emulation error samples (actual minus ideal exit time) and the
 physical/virtual drop taxonomy.
+
+It also defines the *outcome digest* records. Each event domain
+(:attr:`~repro.engine.domain.EventDomain.outcomes`, armed with the
+event digest) folds one record per packet outcome, in the order the
+domain produces them: an exit from the fabric with its actual and
+ideal times, a virtual drop (overflow, random loss, or a down link),
+a physical drop (NIC ring, core egress, edge uplink), or an
+unroutable packet. Records key a packet on ``(src, dst, size,
+created_at)``, which every run and backend agree on (``Packet.id``
+is process-global and does not), so the digest pins what the
+emulated network did independently of how the event stream that did
+it is shaped.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import List, Tuple
+
+#: Outcome record kinds (the first byte of every record).
+EXIT = 0
+DROP_OVERFLOW = 1
+DROP_RANDOM = 2
+DROP_DOWN = 3
+DROP_RING = 4
+DROP_EGRESS = 5
+DROP_UPLINK = 6
+UNROUTABLE = 7
+
+_PACK_OUTCOME = struct.Struct("<Bqqqd").pack
+_PACK_EXIT = struct.Struct("<Bqqqddd").pack
+
+
+def record_outcome(outcomes, kind: int, packet) -> None:
+    """Fold a drop or unroutable ``packet`` into an armed outcome
+    digest (callers test the domain's ``outcomes`` for None)."""
+    outcomes.update(
+        _PACK_OUTCOME(
+            kind, packet.src, packet.dst, packet.size_bytes, packet.created_at
+        )
+    )
+
+
+def record_exit(outcomes, packet, actual_time: float, ideal_time: float) -> None:
+    """Fold a fabric exit into an armed outcome digest."""
+    outcomes.update(
+        _PACK_EXIT(
+            EXIT,
+            packet.src,
+            packet.dst,
+            packet.size_bytes,
+            packet.created_at,
+            actual_time,
+            ideal_time,
+        )
+    )
 
 
 @dataclass

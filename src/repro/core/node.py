@@ -21,6 +21,13 @@ from heapq import heappop
 from math import ceil
 from typing import Deque, Optional, Tuple
 
+from repro.core.monitor import (
+    DROP_EGRESS,
+    DROP_RING,
+    UNROUTABLE,
+    record_exit,
+    record_outcome,
+)
 from repro.core.packet import PacketDescriptor
 from repro.core.pipe import INFINITY, Pipe
 from repro.core.scheduler import PipeScheduler
@@ -114,6 +121,9 @@ class CoreNode:
             return
         if len(self._ring) >= self._nic_ring_slots:
             self.emulation.monitor.ring_drop()
+            if self.sim.outcomes is not None:
+                packet = item if tag == INGRESS else item.packet
+                record_outcome(self.sim.outcomes, DROP_RING, packet)
             return
         self._ring.append((tag, item))
         # scheduler.quantize(now) clamped to now, inlined: the next
@@ -283,6 +293,8 @@ class CoreNode:
         pipes = self.emulation.lookup_pipes(packet.src, packet.dst)
         if pipes is None:
             self.emulation.monitor.packet_unroutable()
+            if self.sim.outcomes is not None:
+                record_outcome(self.sim.outcomes, UNROUTABLE, packet)
             return
         self.packets_processed += 1
         self.emulation.monitor.packet_entered()
@@ -314,7 +326,9 @@ class CoreNode:
                 self._announce_handoff(descriptor, pipe)
             self.scheduler.notify(pipe)
             self._reschedule_wake()
-        # A refusal is a virtual drop, already counted by the pipe.
+        elif self.sim.outcomes is not None:
+            # A virtual drop, already counted by the pipe.
+            record_outcome(self.sim.outcomes, pipe.refusal, descriptor.packet)
 
     def _announce_handoff(self, descriptor: PacketDescriptor, pipe: Pipe) -> None:
         """Announce a cross-domain continuation at *admission* time.
@@ -409,6 +423,9 @@ class CoreNode:
                 return cost
             # handoff == 2: exiting toward a foreign-domain host.
             self.emulation.monitor.packet_exited(descriptor.ideal_time, now)
+            outcomes = self.sim.outcomes
+            if outcomes is not None:
+                record_exit(outcomes, descriptor.packet, now, descriptor.ideal_time)
             descriptor.release()
             return self.spec.deliver_order_s
         previous_pipe = descriptor.current_pipe
@@ -434,6 +451,10 @@ class CoreNode:
                 if self._router is not None and not self.exact:
                     self._announce_handoff(descriptor, next_pipe)
                 self.scheduler.notify(next_pipe)
+            elif self.sim.outcomes is not None:
+                record_outcome(
+                    self.sim.outcomes, next_pipe.refusal, descriptor.packet
+                )
             return 0.0
         return self._complete(descriptor, now)
 
@@ -467,11 +488,14 @@ class CoreNode:
             size, target.physical_ingress, TUNNEL_IN, descriptor
         )
         if not ok:
-            self.emulation.monitor.egress_drop()
+            self._egress_drop(descriptor.packet)
 
     def _complete(self, descriptor: PacketDescriptor, now: float) -> float:
         """A descriptor finished its last pipe on this core."""
         self.emulation.monitor.packet_exited(descriptor.ideal_time, now)
+        outcomes = self.sim.outcomes
+        if outcomes is not None:
+            record_exit(outcomes, descriptor.packet, now, descriptor.ideal_time)
         if (
             self.emulation.config.payload_caching
             and descriptor.entry_core != self.index
@@ -498,7 +522,7 @@ class CoreNode:
                     descriptor,
                 )
                 if not ok:
-                    self.emulation.monitor.egress_drop()
+                    self._egress_drop(descriptor.packet)
                 return self.spec.deliver_order_s
             entry.physical_ingress(DELIVER, descriptor)
             return self.spec.deliver_order_s
@@ -535,7 +559,13 @@ class CoreNode:
             packet.size_bytes, host.receive_from_switch, packet
         )
         if not ok:
-            self.emulation.monitor.egress_drop()
+            self._egress_drop(packet)
+
+    def _egress_drop(self, packet) -> None:
+        """The egress wire refused ``packet``: a physical drop."""
+        self.emulation.monitor.egress_drop()
+        if self.sim.outcomes is not None:
+            record_outcome(self.sim.outcomes, DROP_EGRESS, packet)
 
     # ------------------------------------------------------------------
 

@@ -24,6 +24,7 @@ from time import perf_counter
 from typing import List
 
 from repro.core.kernel import DelayLine
+from repro.core.monitor import DROP_DOWN, DROP_OVERFLOW, DROP_RANDOM
 from repro.core.packet import PacketDescriptor
 from repro.core.queues import DROP_TAIL, DropTailQueue
 
@@ -54,6 +55,7 @@ class Pipe:
         "drops_overflow",
         "drops_random",
         "drops_down",
+        "refusal",
         "bytes_accepted",
         "bytes_through",
         "batch_departures",
@@ -103,6 +105,9 @@ class Pipe:
         self.drops_overflow = 0
         self.drops_random = 0
         self.drops_down = 0
+        #: Outcome kind of the most recent refusal
+        #: (:mod:`repro.core.monitor`), set only on the drop paths.
+        self.refusal = None
         #: Bytes admitted to the bandwidth queue (offered load that
         #: survived the drop checks).
         self.bytes_accepted = 0
@@ -173,9 +178,11 @@ class Pipe:
         self.arrivals += 1
         if not self.up:
             self.drops_down += 1
+            self.refusal = DROP_DOWN
             return False
         if self.loss_rate > 0.0 and rng is not None and rng.random() < self.loss_rate:
             self.drops_random += 1
+            self.refusal = DROP_RANDOM
             return False
         line = self._line
         backlog = line.bw_len
@@ -185,6 +192,7 @@ class Pipe:
             admitted = self.qdisc.admit(backlog, self.queue_limit, now, rng)
         if not admitted:
             self.drops_overflow += 1
+            self.refusal = DROP_OVERFLOW
             return False
         size = descriptor.packet.size_bytes
         tx = self._tx_cache.get(size)
@@ -222,15 +230,17 @@ class Pipe:
                 self.batch_departures += departed
         return exits
 
-    def flush(self) -> int:
+    def flush(self, outcomes=None) -> int:
         """Drop everything queued or in flight (a link that dies takes
-        its queue with it). Returns the number of packets lost.
+        its queue with it). Returns the number of packets lost; each
+        is folded into ``outcomes`` (an armed outcome digest) as a
+        down drop.
 
         Resets ``_sched_hint`` to INFINITY so the owning scheduler's
         heap entry for this pipe goes stale and is discarded instead
         of firing a spurious wakeup — and so a post-flush arrival is
         not shadowed by the orphaned earlier deadline."""
-        lost = self._line.flush()
+        lost = self._line.flush(outcomes)
         self.drops_down += lost
         self._free_at = 0.0
         self._ideal_free_at = 0.0

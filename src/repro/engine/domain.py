@@ -110,6 +110,11 @@ class EventDomain:
         #: one local test per event.
         self._digest = None
         self._callsite_cache: dict = {}
+        #: Streaming outcome digest: a SHA-256 the emulation core folds
+        #: one record per packet outcome into (exit, drop, unroutable;
+        #: :mod:`repro.core.monitor`), armed with the event digest.
+        #: None (the default) costs one test per outcome.
+        self.outcomes = None
         #: The fault timeline :meth:`run` stops at (a
         #: :class:`~repro.core.faults.FaultApplier`, installed by it):
         #: ``next_time()`` and ``apply_until(t)``. None runs straight.
@@ -127,12 +132,24 @@ class EventDomain:
         """
         self._digest = hashlib.sha256()
         self._callsite_cache = {}
+        self.enable_outcome_digest()
+
+    def enable_outcome_digest(self) -> None:
+        """Arm the outcome digest alone (:meth:`enable_digest` arms it
+        too; the sanitizer hashes events through its own probe)."""
+        self.outcomes = hashlib.sha256()
 
     def digest_hexdigest(self) -> Optional[str]:
         """Hex digest of the events dispatched since
         :meth:`enable_digest`, or None when never armed."""
         digest = self._digest
         return None if digest is None else digest.hexdigest()
+
+    def outcome_hexdigest(self) -> Optional[str]:
+        """Hex digest of the packet outcomes recorded since the
+        outcome digest was armed, or None when never armed."""
+        outcomes = self.outcomes
+        return None if outcomes is None else outcomes.hexdigest()
 
     def _callsite_bytes(self, fn: Callable) -> bytes:
         """Encoded ``module.qualname`` for ``fn``, memoized.

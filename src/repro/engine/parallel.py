@@ -403,11 +403,17 @@ def _build_from_spec(spec, observe: bool):
     return scenario.sim, emulation
 
 
-def _domain_digests(sim, owned: Sequence[int]) -> Dict[int, Tuple[str, int]]:
-    """``{domain: (hexdigest, event_count)}`` of the owned domains'
-    native digest folds."""
+def _domain_digests(
+    sim, owned: Sequence[int]
+) -> Dict[int, Tuple[str, int, str]]:
+    """``{domain: (hexdigest, event_count, outcome_hexdigest)}`` of the
+    owned domains' native digest folds."""
     return {
-        d: (sim.domains[d].digest_hexdigest(), sim.domains[d].events_dispatched)
+        d: (
+            sim.domains[d].digest_hexdigest(),
+            sim.domains[d].events_dispatched,
+            sim.domains[d].outcome_hexdigest(),
+        )
         for d in owned
     }
 
@@ -431,10 +437,10 @@ def _worker_main(
     livelocked one; each beat carries the worker's epoch count, so a
     long run that keeps finishing epochs is told apart from one that
     makes no progress. Every owned domain folds its native event
-    digest; barrier reports and the ``done`` reply carry ``{domain:
-    (hexdigest, count)}``, which is what makes crash recovery
-    *verifiable* — the supervisor checks a rerun's digests at the last
-    barrier it saw against the recorded ones.
+    and outcome digests; barrier reports and the ``done`` reply carry
+    ``{domain: (hexdigest, count, outcome_hexdigest)}``, which is what
+    makes crash recovery *verifiable* — the supervisor checks a rerun's
+    digests at the last barrier it saw against the recorded ones.
     """
     # A forked worker inherits its parent's whole heap; freezing it
     # keeps the worker's collections (and their pauses, which count
@@ -581,6 +587,7 @@ class MultiprocessResult:
         self.messages_routed = 0
         self.domain_digests: Dict[int, str] = {}
         self.domain_digest_events: Dict[int, int] = {}
+        self.domain_outcomes: Dict[int, str] = {}
         #: The run's statistics: the merge of what every worker
         #: gathered over its domains.
         self.stats = RunStats()
@@ -614,6 +621,18 @@ class MultiprocessResult:
     @property
     def composed_digest(self) -> str:
         return run_digest(self.domain_digests)
+
+    @property
+    def composed_outcome(self) -> str:
+        return run_digest(self.domain_outcomes)
+
+    def take_digests(self, digests) -> None:
+        """Record workers' ``{domain: (hexdigest, count,
+        outcome_hexdigest)}``."""
+        for d, (digest, count, outcome) in digests.items():
+            self.domain_digests[d] = digest
+            self.domain_digest_events[d] = count
+            self.domain_outcomes[d] = outcome
 
 
 def worker_groups(
@@ -784,7 +803,7 @@ def run_multiprocess(
         epoch_timeout_s=epoch_timeout_s,
         heartbeat_interval_s=heartbeat_interval_s,
     )
-    parts: List[Tuple[RunStats, Dict[int, Tuple[str, int]]]] = []
+    parts: List[Tuple[RunStats, Dict[int, Tuple[str, int, str]]]] = []
     t0 = perf_counter()  # repro: allow-wallclock
     try:
         supervisor.start()
@@ -810,9 +829,7 @@ def run_multiprocess(
                     break
                 _, epoch, horizon, routed, digests = report
                 result.epochs, result.messages_routed = epoch + 1, routed
-                for d, (digest, count) in digests.items():
-                    result.domain_digests[d] = digest
-                    result.domain_digest_events[d] = count
+                result.take_digests(digests)
                 if barrier is not None:
                     barrier(
                         epoch,
@@ -837,9 +854,7 @@ def run_multiprocess(
         result.retries = supervisor.retries
         supervisor.shutdown()
     for _, digests in parts:
-        for d, (digest, count) in digests.items():
-            result.domain_digests[d] = digest
-            result.domain_digest_events[d] = count
+        result.take_digests(digests)
     result.stats = RunStats.merge([stats for stats, _ in parts])
     result.stats.put("parallel.spawn_s", result.spawn_s)
     return result

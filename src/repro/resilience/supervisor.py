@@ -190,11 +190,12 @@ class WorkerSupervisor:
         self.workers = [WorkerHandle(i, group) for i, group in enumerate(owned)]
         # What a group restart replays: the run command once issued,
         # how many barriers the workers reported, the merged
-        # ``{domain: (hexdigest, event_count)}`` at the last one (the
-        # recovery ground truth) and whether the run has finished.
+        # ``{domain: (hexdigest, event_count, outcome_hexdigest)}`` at
+        # the last one (the recovery ground truth) and whether the run
+        # has finished.
         self._run: Optional[Tuple[Any, ...]] = None
         self._barriers = 0
-        self._barrier_digests: Dict[int, Tuple[str, int]] = {}
+        self._barrier_digests: Dict[int, Tuple[str, int, str]] = {}
         self._run_done = False
         # Counters surfaced as resilience.* metrics.
         self.heartbeats_missed = 0
@@ -229,7 +230,8 @@ class WorkerSupervisor:
 
         Returns ``("barrier", epoch, horizon, messages_routed,
         digests)`` merged over the workers (the summed message count
-        and the union of their ``{domain: (hexdigest, count)}``), or,
+        and the union of their ``{domain: (hexdigest, count,
+        outcome_hexdigest)}``), or,
         once the run is over, the merged ``done`` reply of
         :meth:`run_all`.
         """
@@ -357,7 +359,7 @@ class WorkerSupervisor:
         """One ``done`` reply from every worker's: see :meth:`run_all`."""
         self._run_done = True
         next_times: Dict[int, float] = {}
-        digests: Dict[int, Tuple[str, int]] = {}
+        digests: Dict[int, Tuple[str, int, str]] = {}
         epochs = routed = 0
         for reply in replies:
             next_times.update(reply[1])
@@ -565,10 +567,11 @@ class WorkerSupervisor:
         handle.proc = None
 
 
-def _barrier_digests(replies: List[Any]) -> Dict[int, Tuple[str, int]]:
+def _barrier_digests(replies: List[Any]) -> Dict[int, Tuple[str, int, str]]:
     """The union of the workers' barrier reports' ``{domain: (hexdigest,
-    event_count)}`` (a reply that is no barrier report adds nothing)."""
-    digests: Dict[int, Tuple[str, int]] = {}
+    event_count, outcome_hexdigest)}`` (a reply that is no barrier
+    report adds nothing)."""
+    digests: Dict[int, Tuple[str, int, str]] = {}
     for reply in replies:
         if reply[0] == "barrier":
             digests.update(reply[4])

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.api import DISTILL_MODES
 from repro.core.distill import DistillationMode, distill
@@ -184,17 +184,24 @@ def _emit_report(args, report) -> None:
         print(report.to_json())
 
 
-def _load_digests(path: str) -> dict:
-    """``{seed: digest}`` from a committed ``*.digests.json`` baseline
-    (keys starting with ``_`` are comments)."""
+def _load_digests(path: str) -> Tuple[dict, dict]:
+    """``({seed: event digest}, {seed: outcome digest})`` from a
+    committed ``*.digests.json`` baseline: seed keys hold event digests,
+    ``"outcomes"`` maps seeds to outcome digests, and keys starting
+    with ``_`` are comments."""
     import json
 
     with open(path) as handle:
-        return {
-            int(key): value
-            for key, value in json.load(handle).items()
-            if not key.startswith("_")
-        }
+        payload = json.load(handle)
+    events = {
+        int(key): value
+        for key, value in payload.items()
+        if not key.startswith("_") and key != "outcomes"
+    }
+    outcomes = {
+        int(key): value for key, value in payload.get("outcomes", {}).items()
+    }
+    return events, outcomes
 
 
 def _cmd_run(args) -> int:
@@ -287,25 +294,47 @@ def _cmd_run(args) -> int:
         return 4
     _emit_report(args, report)
     if args.expect_digests:
-        expected = _load_digests(args.expect_digests)
-        digest = report.metrics.get("run.digest")
-        want = expected.get(scenario._seed)
-        if want is None:
+        expected, outcomes = _load_digests(args.expect_digests)
+        seed = scenario._seed
+        if seed not in expected:
             print(
-                f"error: no baseline digest for seed {scenario._seed} "
+                f"error: no baseline digest for seed {seed} "
                 f"in {args.expect_digests}",
                 file=sys.stderr,
             )
             return 2
-        if digest != want:
-            print(
-                f"seed {scenario._seed}: DIGEST DRIFT — got "
-                f"{str(digest)[:16]}, baseline {want[:16]} "
-                f"({args.expect_digests})"
-            )
+        drift = _digest_drift(
+            seed,
+            report.metrics.get("run.digest"),
+            report.metrics.get("run.outcome_digest"),
+            expected,
+            outcomes,
+            args.expect_digests,
+        )
+        if drift:
+            print(drift)
             return 1
-        print(f"digest matches baseline for seed {scenario._seed}")
+        print(f"digest matches baseline for seed {seed}")
     return 0
+
+
+def _digest_drift(seed, digest, outcome, expected, outcomes, path) -> str:
+    """The drift line for a seed's event and outcome digests against
+    a baseline (a seed without an outcome baseline checks events
+    only), or "" when both match."""
+    want = expected[seed]
+    if digest != want:
+        return (
+            f"seed {seed}: DIGEST DRIFT — got {str(digest)[:16]}, "
+            f"baseline {want[:16]} ({path})"
+        )
+    want = outcomes.get(seed)
+    if want is not None and outcome != want:
+        return (
+            f"seed {seed}: OUTCOME DIGEST DRIFT — got {str(outcome)[:16]}, "
+            f"baseline {want[:16]} ({path})"
+        )
+    return ""
 
 
 def _cmd_import(args) -> int:
@@ -436,7 +465,9 @@ def _cmd_sanitize(args) -> int:
     from repro.check import sanitize_scenario, sanitize_scenario_multiprocess
 
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    expected = _load_digests(args.expect_digests) if args.expect_digests else {}
+    expected, outcomes = (
+        _load_digests(args.expect_digests) if args.expect_digests else ({}, {})
+    )
 
     def make_scenario() -> Scenario:
         scenario = (
@@ -487,12 +518,18 @@ def _cmd_sanitize(args) -> int:
         print(result.summary())
         if not result.identical:
             failures += 1
-        elif seed in expected and result.digests[0] != expected[seed]:
-            print(
-                f"seed {seed}: DIGEST DRIFT — got {result.digests[0][:16]}, "
-                f"baseline {expected[seed][:16]} ({args.expect_digests})"
+        elif seed in expected:
+            drift = _digest_drift(
+                seed,
+                result.digests[0],
+                result.outcomes[0],
+                expected,
+                outcomes,
+                args.expect_digests,
             )
-            failures += 1
+            if drift:
+                print(drift)
+                failures += 1
     if failures:
         print(f"sanitize: {failures}/{len(seeds)} seed(s) failed")
         return 1

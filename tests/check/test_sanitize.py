@@ -353,3 +353,11 @@ def test_sanitize_scenario_multiprocess_varies_workers():
     )
     assert result.identical, result.summary()
     assert result.events[0] == result.events[1] > 0
+
+
+def test_detach_restores_the_hook_chained_at_attach():
+    sim = Simulator()
+    hook = lambda event, fn: None  # noqa: E731
+    sim.on_dispatch = hook
+    SimSanitizer().attach(sim).detach()
+    assert sim.on_dispatch is hook

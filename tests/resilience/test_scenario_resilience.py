@@ -107,7 +107,8 @@ def test_sigkill_recovery_reproduces_the_committed_fault_plan_digest(
 ):
     """The chaos gate: kill worker 0 mid-run through the committed
     fault plan; the restarted group must reproduce the committed
-    sanitize digest (``repro-net sanitize ... --fault-plan``)."""
+    sanitize event and outcome digests (``repro-net sanitize ...
+    --fault-plan``)."""
     digests = json.loads((EXAMPLES / "faultplan.digests.json").read_text())
     scenario = (
         Scenario.from_gml(str(EXAMPLES / "ring8x2.gml"))
@@ -124,6 +125,7 @@ def test_sigkill_recovery_reproduces_the_committed_fault_plan_digest(
     assert metrics["run.outcome"] == "completed"
     assert metrics["resilience.workers_restarted"] == workers
     assert metrics["run.digest"] == digests[str(seed)]
+    assert metrics["run.outcome_digest"] == digests["outcomes"][str(seed)]
 
 
 # ----------------------------------------------------------------------
