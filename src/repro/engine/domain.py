@@ -217,11 +217,11 @@ class EventDomain:
         handle is returned and the callback cannot be cancelled.
 
         The heap entry is a bare ``(time, seq, None, fn, args)`` tuple
-        — no Event allocation. Physical-wire serialization and
-        delivery callbacks (two per transmitted packet, never
-        cancelled) are the intended users; they dominate the heap of a
-        saturated run. Sequence numbers come from the same counter as
-        :meth:`at`, so traces are identical either way.
+        — no Event allocation. Physical-wire delivery callbacks (one
+        per transmitted packet, never cancelled) are the intended
+        users; they dominate the heap of a saturated run. Sequence
+        numbers come from the same counter as :meth:`at`, so traces
+        are identical either way.
         """
         if time < self._now:
             raise SimulationError(

@@ -6,10 +6,17 @@ serialized at the wire rate, wait in a bounded FIFO when the wire is
 busy, and are dropped when the queue is full. These are the places
 where the paper's *physical* drops happen — distinct from the
 emulated "virtual" drops inside pipes.
+
+A transmit costs one heap entry, the delivery. The queue is the FIFO
+of accepted packets' serialization-done times, trimmed lazily against
+the clock: a packet whose serialization ends at or before ``now`` has
+left it (``done <= now``), so no per-packet completion event is
+needed to count it out.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappush
 from typing import Any, Callable
 
@@ -45,7 +52,10 @@ class PhysicalLink:
         # call site outside the event loop itself.
         self._s_per_byte = 8.0 / self.rate_bps
         self._free_at = 0.0
-        self._queued = 0
+        # Serialization-done times of the packets still queued, in
+        # FIFO (and time) order; built on the first send, so a link
+        # that never transmits holds no deque.
+        self._done = None
         self.accepted = 0
         self.dropped = 0
         self.bytes_sent = 0
@@ -53,7 +63,13 @@ class PhysicalLink:
     @property
     def queued(self) -> int:
         """Packets accepted but not yet fully serialized."""
-        return self._queued
+        done = self._done
+        if done is None:
+            return 0
+        now = self.sim._now
+        while done and done[0] <= now:
+            done.popleft()
+        return len(done)
 
     def busy_until(self) -> float:
         """Time at which the wire becomes idle."""
@@ -62,33 +78,32 @@ class PhysicalLink:
     def send(self, size_bytes: int, deliver_fn: Callable, *args: Any) -> bool:
         """Transmit ``size_bytes``; invoke ``deliver_fn(*args)`` on
         arrival at the far end. False (and a drop) on queue overflow."""
-        if self._queued >= self.queue_limit:
+        sim = self.sim
+        now = sim._now
+        queue = self._done
+        if queue is None:
+            queue = self._done = deque()
+        while queue and queue[0] <= now:
+            queue.popleft()
+        if len(queue) >= self.queue_limit:
             self.dropped += 1
             return False
-        sim = self.sim
         start = self._free_at
-        now = sim._now
         if start < now:
             start = now
         wire_bytes = size_bytes + self.framing_bytes
         done = start + wire_bytes * self._s_per_byte
         self._free_at = done
-        self._queued += 1
+        queue.append(done)
         self.accepted += 1
         self.bytes_sent += wire_bytes
-        # Simulator.post() x2, inlined (neither callback is ever
-        # cancelled, and done >= now by construction so the past-check
-        # is vacuous): one wire transmit is two heap entries, and this
-        # is the hottest scheduling site of a saturated run.
-        seq = sim._seq + 1
-        sim._seq = seq + 1
-        heap = sim._heap
-        heappush(heap, (done, seq, None, self._serialized, ()))
-        heappush(heap, (done + self.latency_s, seq + 1, None, deliver_fn, args))
+        # Simulator.post(), inlined (the delivery is never cancelled,
+        # and done >= now by construction so the past-check is
+        # vacuous): this is the hottest scheduling site of a
+        # saturated run.
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, (done + self.latency_s, seq, None, deliver_fn, args))
         return True
-
-    def _serialized(self) -> None:
-        self._queued -= 1
 
     def utilization(self, since: float, now: float) -> float:
         """Rough utilization proxy: fraction of wall time the wire has

@@ -233,9 +233,9 @@ def test_budget_abort_stops_at_the_same_barrier_on_every_backend(
         scenario.run(until=RING_UNTIL)
     metrics = info.value.report.metrics
     assert metrics["run.outcome"] == "aborted{reason=max_events}"
-    assert metrics["run.events"] == 223
+    assert metrics["run.events"] == 205
     assert metrics["run.digest"] == (
-        "e7db9e54adc2d17e9c1a2e2575ad5278f1109d7a48029c03f84f8f27db840892"
+        "fbf9f5f0aa68bfe805e77d5d44cee250ba66f0db03a034a68d9b270c6f3df401"
     )
 
 
@@ -276,7 +276,7 @@ def test_checkpoints_land_on_the_same_barriers_on_every_backend(
     )
     scenario._resilience.backoff_base_s = 0.0
     report = scenario.run(until=RING_UNTIL)
-    digest = "443f4808d15f83474c860caf18add16f7dbc7d529adadd582fb98d52ad6719f7"
+    digest = "c47b54503d82a0eae498efb3677e8ad1b0a87e354da68b67a11a4f119b279dda"
     assert report.metrics["run.outcome"] == "completed"
     assert report.metrics["run.digest"] == digest
     assert report.metrics["resilience.checkpoints_written"] == 4
