@@ -4,8 +4,8 @@ The paper's heap-of-pipes scheduler (Sec. 2.2) pays scheduling cost
 per *pipe*; this module keeps the per-packet work inside each pipe
 off the event heap too. A pipe's bandwidth queue and delay line are
 *data*, not events: rows of ``(descriptor, time, ideal)`` that
-:meth:`DelayLine.service` drains in runs (one call per pipe per
-tick), instead of one heap entry and one callback per packet.
+:meth:`DelayLine.drain` drains in runs (one call per serviced pipe
+per tick), instead of one heap entry and one callback per packet.
 
 Every value is computed in the same IEEE-double order on every
 backend, so the event streams the sanitize machinery hashes are
@@ -17,14 +17,18 @@ The contract:
 ``admit(descriptor, dequeue_at, ideal_exit)``
     Append to the bandwidth queue. ``dequeue_at`` values are
     non-decreasing per pipe (the pipe's ``_free_at`` is monotone).
-``service(cutoff, latency_s) -> (exits, bytes_through)``
+``drain(pipe, cutoff) -> exits``
     Move every due bandwidth entry (``dequeue_at <= cutoff``) into
-    the delay line at ``dequeue_at + latency_s`` — latency is read at
-    *service* time, dummynet semantics — then drain the delay-line
-    prefix that is due, stopping at the first entry beyond ``cutoff``
-    (entries behind it wait even if already due: latency changes can
-    make the line non-monotone, so the drain is head-order).
-    Sets ``descriptor.ideal_time`` on each exit.
+    the delay line at ``dequeue_at + pipe.latency_s`` — latency is
+    read at *service* time, dummynet semantics — then drain the
+    delay-line prefix that is due, stopping at the first entry beyond
+    ``cutoff`` (entries behind it wait even if already due: latency
+    changes can make the line non-monotone, so the drain is
+    head-order). Sets ``descriptor.ideal_time`` on each exit, adds
+    the exits to the pipe's ``departures``, ``bytes_through`` and
+    (for a run of two or more) ``batch_departures``, compacts both
+    lists and refreshes :attr:`head_deadline` — the whole service of
+    one pipe in one call.
 ``head_deadline``
     The earliest pending time in either queue (``inf`` when empty).
     Scheduler-facing: read once per offer and per serviced pipe.
@@ -37,7 +41,7 @@ The contract:
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.core.monitor import DROP_DOWN, record_outcome
 
@@ -86,36 +90,61 @@ class DelayLine:
         if dequeue_at < self.head_deadline:
             self.head_deadline = dequeue_at
 
-    def service(self, cutoff: float, latency_s: float) -> Tuple[list, int]:
+    def drain(self, pipe, cutoff: float) -> list:
+        # Lists only grow between drains, so only a list rows were
+        # taken from can need compacting (see _COMPACT_AT).
         bw = self._bw
-        dl = self._dl
         h = self._bw_head
         n = len(bw)
-        while h < n:
-            descriptor, dequeue_at, ideal_exit = bw[h]
-            if dequeue_at > cutoff:
-                break
-            dl.append((descriptor, dequeue_at + latency_s, ideal_exit))
-            h += 1
-        self._bw_head = h = _compact(bw, h)
+        dl = self._dl
+        if h < n and bw[h][1] <= cutoff:
+            latency_s = pipe.latency_s
+            append = dl.append
+            while h < n:
+                descriptor, dequeue_at, ideal_exit = bw[h]
+                if dequeue_at > cutoff:
+                    break
+                append((descriptor, dequeue_at + latency_s, ideal_exit))
+                h += 1
+            if h == n:
+                bw.clear()
+                h = n = 0
+            elif h >= _COMPACT_AT and h * 2 >= n:
+                del bw[:h]
+                n -= h
+                h = 0
+            self._bw_head = h
         exits: List = []
-        through = 0
         dh = self._dl_head
         dn = len(dl)
-        while dh < dn:
-            descriptor, exit_at, ideal_exit = dl[dh]
-            if exit_at > cutoff:
-                break
-            descriptor.ideal_time = ideal_exit
-            through += descriptor.packet.size_bytes
-            exits.append(descriptor)
-            dh += 1
-        self._dl_head = dh = _compact(dl, dh)
-        head = bw[h][1] if h < len(bw) else INFINITY
-        if dh < len(dl) and dl[dh][1] < head:
+        if dh < dn and dl[dh][1] <= cutoff:
+            through = 0
+            while dh < dn:
+                descriptor, exit_at, ideal_exit = dl[dh]
+                if exit_at > cutoff:
+                    break
+                descriptor.ideal_time = ideal_exit
+                through += descriptor.packet.size_bytes
+                exits.append(descriptor)
+                dh += 1
+            if dh == dn:
+                dl.clear()
+                dh = dn = 0
+            elif dh >= _COMPACT_AT and dh * 2 >= dn:
+                del dl[:dh]
+                dn -= dh
+                dh = 0
+            self._dl_head = dh
+            departed = len(exits)
+            pipe.departures += departed
+            pipe.bytes_through += through
+            if departed > 1:
+                pipe.batch_departures += departed
+        head = bw[h][1] if h < n else INFINITY
+        if dh < dn and dl[dh][1] < head:
             head = dl[dh][1]
         self.head_deadline = head
-        return exits, through
+        return exits
 
     def flush(self, outcomes=None) -> int:
         lost = self.bw_len + self.dl_len
@@ -129,12 +158,3 @@ class DelayLine:
         self._bw_head = self._dl_head = 0
         self.head_deadline = INFINITY
         return lost
-
-
-def _compact(rows: list, head: int) -> int:
-    """Drop the consumed prefix of ``rows`` when it is all of the
-    list, or long and at least half of it; returns the new head."""
-    if head and (head == len(rows) or (head >= _COMPACT_AT and head * 2 >= len(rows))):
-        del rows[:head]
-        return 0
-    return head

@@ -111,10 +111,11 @@ class Pipe:
         #: Bytes admitted to the bandwidth queue (offered load that
         #: survived the drop checks).
         self.bytes_accepted = 0
-        #: Bytes that fully exited the pipe. Counted at departure in
-        #: :meth:`service`, so packets destroyed by :meth:`flush` (a
-        #: dying link takes its queue with it) never inflate the
-        #: delivered-throughput view that monitor/obs report.
+        #: Bytes that fully exited the pipe. Counted at departure by
+        #: the delay line's drain, so packets destroyed by
+        #: :meth:`flush` (a dying link takes its queue with it) never
+        #: inflate the delivered-throughput view that monitor/obs
+        #: report.
         self.bytes_through = 0
         #: Departures delivered in multi-packet batches (a run of >= 2
         #: due exits drained by one service call) — the §2.2 batching
@@ -220,15 +221,10 @@ class Pipe:
     def service(self, now: float) -> List[PacketDescriptor]:
         """Advance pipe state to ``now``; return descriptors that have
         fully exited (dequeued and served their latency). The delay
-        line drains the due *run* in one call (batched delivery)."""
-        exits, through = self._line.service(now, self.latency_s)
-        departed = len(exits)
-        if departed:
-            self.departures += departed
-            self.bytes_through += through
-            if departed > 1:
-                self.batch_departures += departed
-        return exits
+        line drains the due *run* in one call (batched delivery) and
+        counts the departures (:meth:`DelayLine.drain`, which
+        :meth:`PipeScheduler.collect` calls directly)."""
+        return self._line.drain(self, now)
 
     def flush(self, outcomes=None) -> int:
         """Drop everything queued or in flight (a link that dies takes

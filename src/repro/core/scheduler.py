@@ -128,9 +128,11 @@ class PipeScheduler:
             deadline, _seq, pipe = heappop(heap)
             if deadline != pipe._sched_hint:
                 continue  # stale entry; a fresher one covers this pipe
-            # One call drains the whole due run from this pipe's
-            # delay line (batched departures).
-            exits = pipe.service(cutoff)
+            # One call services the pipe: it drains the whole due run
+            # from the delay line (batched departures), counts the
+            # departures and refreshes the line's head deadline.
+            line = pipe._line
+            exits = line.drain(pipe, cutoff)
             if exits:
                 self.hops_serviced += len(exits)
                 serviced.append((pipe, exits))
@@ -138,8 +140,7 @@ class PipeScheduler:
                     batch_hist.observe(len(exits))
             # Re-insert with the pipe's new deadline (notify() with the
             # hint freshly cleared, inlined: any finite deadline wins).
-            # service() refreshed the line's cached head deadline.
-            deadline = pipe._line.head_deadline
+            deadline = line.head_deadline
             if deadline == INFINITY:
                 pipe._sched_hint = INFINITY
                 continue

@@ -9,7 +9,9 @@ Three layers:
 * randomized parity against a plain deque model of the row
   semantics — the same exits, the same IEEE-double exit times, the
   same ``head_deadline`` floats, occupancies and flush counts on the
-  same admission schedule, long enough to cross compaction;
+  same admission schedule, long enough to cross compaction — and of
+  ``PipeScheduler.collect`` against a two-step reference service
+  (move due rows, then drain due exits, then count departures);
 * memory — a drained line holds no exited descriptors.
 """
 
@@ -202,6 +204,36 @@ class DequeModel:
         return lost
 
 
+class Counters:
+    """The pipe-side state :meth:`DelayLine.drain` reads (latency)
+    and updates (departure counters)."""
+
+    def __init__(self, latency_s=0.0):
+        self.latency_s = latency_s
+        self.departures = self.bytes_through = self.batch_departures = 0
+
+
+def _service(line, cutoff, latency):
+    """``(exits, bytes_through)`` of one service of either line."""
+    if isinstance(line, DequeModel):
+        return line.service(cutoff, latency)
+    counters = Counters(latency)
+    exits = line.drain(counters, cutoff)
+    return exits, counters.bytes_through
+
+
+class CompactionSpy(list):
+    """A row list that records every prefix deletion (compaction)."""
+
+    def __init__(self, seen):
+        super().__init__()
+        self.seen = seen
+
+    def __delitem__(self, index):
+        self.seen.append(index)
+        super().__delitem__(index)
+
+
 def _drive(line, schedule):
     """Run one admission/service/flush schedule against a delay line
     and return every observable: exit ids, exit ideal times, through
@@ -218,7 +250,7 @@ def _drive(line, schedule):
             observed.append(("flush", line.flush()))
         else:
             _, cutoff, latency = op
-            exits, through = line.service(cutoff, latency)
+            exits, through = _service(line, cutoff, latency)
             observed.append((
                 [e.packet.id for e in exits],
                 [e.ideal_time for e in exits],
@@ -260,19 +292,14 @@ def _random_schedule(rng, ops=3000, bandwidth_bps=3e7, queue_limit=50):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_kernels_agree_on_randomized_schedules(seed, monkeypatch):
+def test_kernels_agree_on_randomized_schedules(seed):
     compactions = []
-    compact = kernel._compact
-
-    def spy(rows, head):
-        if 0 < head < len(rows) and compact(list(rows), head) == 0:
-            compactions.append(head)
-        return compact(rows, head)
-
-    monkeypatch.setattr(kernel, "_compact", spy)
+    line = DelayLine()
+    line._bw = CompactionSpy(compactions)
+    line._dl = CompactionSpy(compactions)
     schedule = _random_schedule(random.Random(seed))
     assert len(schedule) > 2000
-    observed = _drive(DelayLine(), schedule)
+    observed = _drive(line, schedule)
     assert compactions, "schedule never crossed the compaction threshold"
     assert observed == _drive(DequeModel(), schedule)
 
@@ -282,10 +309,108 @@ def test_flush_counts_agree_across_kernels():
     for line in (DelayLine(), DequeModel()):
         for i in range(7):
             line.admit(descriptor(100), 0.001 * (i + 1), 0.001 * (i + 1))
-        line.service(0.0035, 0.0)
+        _service(line, 0.0035, 0.0)
         counts.append((line.flush(), line.bw_len, line.dl_len,
                        line.head_deadline))
     assert counts[0] == counts[1] == (4, 0, 0, INFINITY)
+
+
+# ----------------------------------------------------------------------
+# collect() against a two-step reference service
+# ----------------------------------------------------------------------
+
+class ReferencePipe:
+    """One pipe serviced the two-step way: move every due bandwidth
+    row into the delay line at ``dequeue + latency`` (latency read at
+    service time), then drain the due head-order prefix, then count
+    the departures — the pipe's state as plain deques and ints."""
+
+    def __init__(self):
+        self.bw, self.dl = deque(), deque()
+        self.departures = self.bytes_through = self.batch_departures = 0
+
+    @property
+    def head_deadline(self):
+        deadline = self.bw[0][1] if self.bw else INFINITY
+        return self.dl[0][1] if self.dl and self.dl[0][1] < deadline else deadline
+
+    def service(self, cutoff, latency_s):
+        while self.bw and self.bw[0][1] <= cutoff:
+            ident, dequeue_at, ideal_exit = self.bw.popleft()
+            self.dl.append((ident, dequeue_at + latency_s, ideal_exit))
+        exits = []
+        while self.dl and self.dl[0][1] <= cutoff:
+            ident, _exit_at, ideal_exit = self.dl.popleft()
+            exits.append((ident, ideal_exit))
+        self.departures += len(exits)
+        self.bytes_through += sum(SIZES[ident] for ident, _ in exits)
+        if len(exits) > 1:
+            self.batch_departures += len(exits)
+        return exits
+
+
+SIZES = {}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_collect_matches_a_two_step_reference_service(seed):
+    rng = random.Random(seed)
+    compactions = []
+    scheduler = PipeScheduler(tick_s=1e-4)
+    pipes = [
+        Pipe(index, bandwidth, 1e-3, queue_limit=2000)
+        for index, bandwidth in enumerate((2e6, 3e7, 1e8))
+    ]
+    for p in pipes:
+        p._line._bw = CompactionSpy(compactions)
+        p._line._dl = CompactionSpy(compactions)
+    reference = {p.id: ReferencePipe() for p in pipes}
+    clock = 0.0
+    peak_rows = 0
+    for ident in range(6000):
+        clock += rng.random() * 1e-4
+        roll = rng.random()
+        if roll < 0.5 or roll > 0.997:
+            # A single admission, or a burst deep enough that the
+            # bandwidth queue holds more than _COMPACT_AT rows.
+            p = rng.choice(pipes)
+            for _ in range(1 if roll < 0.5 else 700):
+                size = rng.choice((40, 576, 1500))
+                d = descriptor(size)
+                d.packet.id = len(SIZES) + 10**6 * seed
+                SIZES[d.packet.id] = size
+                if p.arrival(d, clock, clock):
+                    reference[p.id].bw.append((d.packet.id, p._free_at, d.ideal_time))
+            scheduler.notify(p)
+            peak_rows = max(peak_rows, p.backlog_pkts)
+        elif roll < 0.6:
+            # Latency changes between a packet's dequeue and its exit:
+            # rows already in the delay line keep their exit times.
+            rng.choice(pipes).latency_s = rng.choice((0.0, 1e-3, 5e-3))
+        else:
+            cutoff = clock + scheduler._slack
+            deadlines = {p.id: p._line.head_deadline for p in pipes}
+            serviced = scheduler.collect(clock)
+            expected = {
+                p.id: reference[p.id].service(cutoff, p.latency_s) for p in pipes
+            }
+            assert [
+                (p.id, [(d.packet.id, d.ideal_time) for d in exits])
+                for p, exits in serviced
+            ] == [
+                (p.id, expected[p.id])
+                for p in sorted(pipes, key=lambda q: deadlines[q.id])
+                if expected[p.id]
+            ]
+            for p in pipes:
+                ref = reference[p.id]
+                assert p._line.head_deadline == ref.head_deadline
+                assert (p.departures, p.bytes_through, p.batch_departures) == (
+                    ref.departures, ref.bytes_through, ref.batch_departures
+                )
+    assert peak_rows > kernel._COMPACT_AT
+    assert compactions, "no list crossed the compaction threshold"
+    assert sum(p.batch_departures for p in pipes) > 0
 
 
 # ----------------------------------------------------------------------
