@@ -19,13 +19,16 @@ sequence numbering and breaks digest identity across backends.
 ========  ============================================================
 KERN001   Per-packet departure event: a ``heappush`` or kernel
           scheduling call (``.post``/``.at``/``.schedule``/
-          ``.call_soon``) in ``core/`` or ``engine/`` whose arguments
-          reference a packet descriptor. Admit the descriptor into the
-          pipe's delay line (``Pipe`` → ``DelayLine.admit``) and let
-          ``PipeScheduler.collect`` batch the departures instead.
+          ``.call_soon``) in ``core/``, ``engine/`` or ``hardware/``
+          whose arguments reference a packet descriptor. Admit the
+          descriptor into the pipe's delay line (``Pipe`` →
+          ``DelayLine.admit``) and let ``PipeScheduler.collect``
+          batch the departures instead.
 ========  ============================================================
 
-Scope: files whose path contains an ``engine`` or ``core`` component.
+Scope: files whose path contains an ``engine``, ``core`` or
+``hardware`` component (the physical links schedule one delivery per
+wire send and nothing else per packet).
 Exempt wholesale: ``core/kernel.py`` (the delay line itself)
 and ``engine/sync.py`` (the router legitimately ships descriptors
 across domain boundaries as routed messages, which is handoff, not
@@ -51,9 +54,9 @@ RULES: Dict[str, tuple] = {
 
 register_rules(RULES)
 
-#: Path components that put a file in scope (same closure the DOM
-#: family guards: the engine and the emulation core).
-KERN_PACKAGES = {"engine", "core"}
+#: Path components that put a file in scope: the engine, the
+#: emulation core and the physical substrate.
+KERN_PACKAGES = {"engine", "core", "hardware"}
 
 #: Sanctioned homes of descriptor-carrying mechanics.
 KERNEL_HOME = os.path.join("core", "kernel.py")

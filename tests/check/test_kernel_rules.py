@@ -27,13 +27,21 @@ def test_fixture_trips_kern001_twice():
     assert len(report.violations) == 2
 
 
+def test_hardware_fixture_flags_a_descriptor_carrying_post():
+    report = check_paths([fixture("hardware", "kern001_wire_post.py")])
+    [violation] = report.violations
+    assert violation.rule == "KERN001"
+    assert ".post() payload references descriptor" in violation.message
+
+
 # ----------------------------------------------------------------------
-# Scope: engine/ and core/, minus the sanctioned homes
+# Scope: engine/, core/ and hardware/, minus the sanctioned homes
 # ----------------------------------------------------------------------
 
 def test_scope():
     assert in_scope("src/repro/core/node.py")
     assert in_scope("src/repro/engine/parallel.py")
+    assert in_scope("src/repro/hardware/links.py")
     assert not in_scope("src/repro/core/kernel.py")
     assert not in_scope("src/repro/engine/sync.py")
     assert not in_scope("src/repro/apps/netperf.py")
@@ -153,7 +161,7 @@ def test_live_core_and_engine_are_kern_clean():
         os.path.dirname(__file__), os.pardir, os.pardir, "src", "repro"
     )
     report = check_paths(
-        [os.path.join(src, "core"), os.path.join(src, "engine")],
+        [os.path.join(src, part) for part in ("core", "engine", "hardware")],
         select=["KERN"],
     )
     assert report.violations == []
