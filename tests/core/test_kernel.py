@@ -336,20 +336,17 @@ class ReferencePipe:
 
     def service(self, cutoff, latency_s):
         while self.bw and self.bw[0][1] <= cutoff:
-            ident, dequeue_at, ideal_exit = self.bw.popleft()
-            self.dl.append((ident, dequeue_at + latency_s, ideal_exit))
+            ident, dequeue_at, ideal_exit, size = self.bw.popleft()
+            self.dl.append((ident, dequeue_at + latency_s, ideal_exit, size))
         exits = []
         while self.dl and self.dl[0][1] <= cutoff:
-            ident, _exit_at, ideal_exit = self.dl.popleft()
+            ident, _exit_at, ideal_exit, size = self.dl.popleft()
             exits.append((ident, ideal_exit))
+            self.bytes_through += size
         self.departures += len(exits)
-        self.bytes_through += sum(SIZES[ident] for ident, _ in exits)
         if len(exits) > 1:
             self.batch_departures += len(exits)
         return exits
-
-
-SIZES = {}
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -367,7 +364,8 @@ def test_collect_matches_a_two_step_reference_service(seed):
     reference = {p.id: ReferencePipe() for p in pipes}
     clock = 0.0
     peak_rows = 0
-    for ident in range(6000):
+    ident = 0
+    for _ in range(6000):
         clock += rng.random() * 1e-4
         roll = rng.random()
         if roll < 0.5 or roll > 0.997:
@@ -377,10 +375,11 @@ def test_collect_matches_a_two_step_reference_service(seed):
             for _ in range(1 if roll < 0.5 else 700):
                 size = rng.choice((40, 576, 1500))
                 d = descriptor(size)
-                d.packet.id = len(SIZES) + 10**6 * seed
-                SIZES[d.packet.id] = size
+                d.packet.id = ident = ident + 1
                 if p.arrival(d, clock, clock):
-                    reference[p.id].bw.append((d.packet.id, p._free_at, d.ideal_time))
+                    reference[p.id].bw.append(
+                        (ident, p._free_at, d.ideal_time, size)
+                    )
             scheduler.notify(p)
             peak_rows = max(peak_rows, p.backlog_pkts)
         elif roll < 0.6:
