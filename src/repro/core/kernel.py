@@ -91,8 +91,8 @@ class DelayLine:
             self.head_deadline = dequeue_at
 
     def drain(self, pipe, cutoff: float) -> list:
-        # Lists only grow between drains, so only a list rows were
-        # taken from can need compacting (see _COMPACT_AT).
+        # Lists only grow between drains, so only a list that rows
+        # were taken from can need compacting (see _COMPACT_AT).
         bw = self._bw
         h = self._bw_head
         n = len(bw)
